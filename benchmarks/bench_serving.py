@@ -30,20 +30,6 @@ with ``max_resident=8``, reporting the capped throughput and the
 eviction/rehydration counts (informational — checkpoint I/O is too
 disk-dependent to gate).
 
-Executor-seam matrix
---------------------
-The largest fleet additionally runs through the worker-pool matrix:
-worker count × worker kind (``thread``/``process``) × cross-session
-fusion on/off, reporting slices/sec and the fused-dispatch share per
-cell (``pool_<kind>_w<N>_<fused|unfused>`` cases, informational).  One
-gated case, ``process_vs_thread_64``, pins the tentpole claim: at 64
-sessions the process pool's wall-clock (``process_seconds``) and its
-advantage over the thread pool (``speedup``) must not regress.  The
-committed baseline comes from whatever machine last refreshed it — on
-a multi-core runner the GIL-free pool pulls ahead and the gate only
-tightens in the passing direction (faster-than-baseline always
-passes).
-
 Run::
 
     python benchmarks/bench_serving.py --quick --json BENCH_serving.json
@@ -112,8 +98,6 @@ def run_fleet(
     *,
     max_batch: int,
     workers: int,
-    worker_kind: str = "thread",
-    fuse_sessions: bool = True,
     max_resident: int | None = None,
 ) -> tuple[float, dict]:
     """Time one full workload; returns (seconds, metrics snapshot)."""
@@ -122,8 +106,6 @@ def run_fleet(
         max_batch=max_batch,
         max_latency_s=3600.0,
         workers=workers,
-        worker_kind=worker_kind,
-        fuse_sessions=fuse_sessions,
         keep_results=1,
     ) as manager:
         for i in range(n_sessions):
@@ -183,66 +165,6 @@ def run_serving_report(
                     "mean_batch_size": batched_metrics["mean_batch_size"],
                 }
             )
-        # Executor-seam matrix at the largest fleet: worker count x
-        # worker kind x fusion.  Informational (slices/sec only, no
-        # *_seconds keys) except for the one gated comparison below.
-        n_matrix = max(fleet_sizes)
-        matrix_total = n_matrix * slices_per_session
-        matrix_seconds: dict[tuple[str, int, bool], float] = {}
-        for worker_kind in ("thread", "process"):
-            for n_workers in (1, workers, 2 * workers):
-                for fuse in (True, False):
-                    if (worker_kind, n_workers, fuse) in matrix_seconds:
-                        continue
-                    elapsed, metrics = run_fleet(
-                        checkpoint,
-                        n_matrix,
-                        workload,
-                        max_batch=MAX_BATCH,
-                        workers=n_workers,
-                        worker_kind=worker_kind,
-                        fuse_sessions=fuse,
-                    )
-                    matrix_seconds[(worker_kind, n_workers, fuse)] = (
-                        elapsed
-                    )
-                    suffix = "fused" if fuse else "unfused"
-                    results.append(
-                        {
-                            "case": (
-                                f"pool_{worker_kind}_w{n_workers}"
-                                f"_{suffix}"
-                            ),
-                            "n_sessions": n_matrix,
-                            "worker_kind": worker_kind,
-                            "workers": n_workers,
-                            "fuse_sessions": fuse,
-                            "slices_per_sec": matrix_total
-                            / max(elapsed, 1e-12),
-                            "mean_fused_sessions": metrics[
-                                "mean_fused_sessions"
-                            ],
-                            "dispatches": metrics["dispatches"],
-                        }
-                    )
-        # The gated tentpole comparison: thread vs process at the
-        # configured worker count, fusion on.
-        thread_seconds = matrix_seconds[("thread", workers, True)]
-        process_seconds = matrix_seconds[("process", workers, True)]
-        results.append(
-            {
-                "case": f"process_vs_thread_{n_matrix}",
-                "n_sessions": n_matrix,
-                "workers": workers,
-                "thread_seconds": thread_seconds,
-                "process_seconds": process_seconds,
-                "speedup": thread_seconds / max(process_seconds, 1e-12),
-                "thread_slices_per_sec": matrix_total
-                / max(thread_seconds, 1e-12),
-                "process_slices_per_sec": matrix_total
-                / max(process_seconds, 1e-12),
-            }
-        )
         # Eviction-capped run: informational (disk-bound), not gated —
         # no *_seconds / speedup keys on purpose.
         n_capped = max(fleet_sizes)
@@ -309,18 +231,6 @@ def main(argv=None) -> int:
                 f"{entry['batched_slices_per_sec']:.0f} sl/s "
                 f"({entry['speedup']:.2f}x, mean batch "
                 f"{entry['mean_batch_size']:.1f})"
-            )
-        elif "worker_kind" in entry:
-            print(
-                f"{entry['case']}: {entry['slices_per_sec']:.0f} sl/s "
-                f"({entry['mean_fused_sessions']:.1f} sessions/dispatch)"
-            )
-        elif "thread_seconds" in entry:
-            print(
-                f"{entry['case']}: thread "
-                f"{entry['thread_slices_per_sec']:.0f} sl/s, process "
-                f"{entry['process_slices_per_sec']:.0f} sl/s "
-                f"({entry['speedup']:.2f}x)"
             )
         else:
             print(

@@ -3,12 +3,10 @@
 Four synthetic sensor streams (different seasonal patterns, 25% missing
 entries) are served by a single :class:`repro.serving.SessionManager`
 capped at **two resident models**: as slices arrive round-robin, the
-micro-batching scheduler fuses them into ``step_batch`` flushes —
-grouping same-shaped sessions into shared dispatches — while cold
-sessions spill to disk checkpoints and rehydrate transparently.  This
-is the same code path the ``repro-serve`` HTTP gateway runs behind;
-swap ``worker_kind="process"`` below to execute flushes on a
-GIL-escaping multiprocessing pool with bit-identical results.
+micro-batching scheduler groups each session's slices into
+``step_batch`` flushes while cold sessions spill to disk checkpoints
+and rehydrate transparently.  This is the same code path the
+``repro-serve`` HTTP gateway runs behind.
 
 Run with::
 
@@ -54,7 +52,6 @@ def main() -> None:
         max_batch=4,
         max_latency_s=60.0,
         workers=2,
-        worker_kind="thread",  # or "process" to escape the GIL
     )
     client = InProcessServingClient(manager)
     with manager:
@@ -62,7 +59,7 @@ def main() -> None:
             client.create_session(sid, config)
 
         # 3. Slices arrive round-robin across sessions (warmup slices
-        #    initialize each model in the background workers).
+        #    initialize each model on the background dispatch threads).
         for t in range(n_steps):
             for sid in session_ids:
                 client.ingest(
@@ -94,8 +91,7 @@ def main() -> None:
         print(
             f"micro-batching: {metrics['slices_flushed']} slices in "
             f"{metrics['batches_flushed']} flushes "
-            f"(mean batch {metrics['mean_batch_size']:.1f}, "
-            f"{metrics['mean_fused_sessions']:.1f} sessions/dispatch)"
+            f"(mean batch {metrics['mean_batch_size']:.1f})"
         )
         print(
             f"eviction tier: {metrics['evictions']} evictions, "

@@ -101,8 +101,8 @@ def dumps_sofia(sofia: Sofia) -> bytes:
     """Serialize an initialized model to checkpoint-format ``bytes``.
 
     Same versioned archive as :func:`save_sofia`, written uncompressed
-    into memory — the serving layer's process worker pool ships session
-    state across pipes with this (one round-trip per flush, so
+    into memory — the serving layer's live migration ships session
+    state between runtimes with this (on the request path, so
     compression latency matters more than size).  Restore with
     :func:`loads_sofia`.
     """

@@ -85,6 +85,10 @@ def run_scalability(
         recorded interval covers one ``step_batch`` call and is spread
         over its steps (amortized per-step time), keeping both Fig. 7
         curves per-step.
+
+    Update times are this process's CPU time (``time.process_time``),
+    not wall time, so other processes competing for the cores cannot
+    stretch single intervals and bend the fitted lines.
     """
     import time
 
@@ -117,7 +121,7 @@ def run_scalability(
         per_step = []
         for t in range(startup, n_steps, batch_size):
             stop = min(t + batch_size, n_steps)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             if batch_size == 1:
                 algo.step(data[..., t], mask)
             else:
@@ -126,7 +130,7 @@ def run_scalability(
                     np.broadcast_to(mask, (stop - t,) + mask.shape),
                 )
             per_step.extend(
-                [(time.perf_counter() - t0) / (stop - t)] * (stop - t)
+                [(time.process_time() - t0) / (stop - t)] * (stop - t)
             )
         entries.append(rows * n_cols)
         totals.append(float(np.sum(per_step)))

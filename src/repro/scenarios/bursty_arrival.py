@@ -5,7 +5,7 @@ random missingness — because this scenario stresses the *serving
 path*, not the model.  Traffic comes in bursts of eight back-to-back
 slices at ten times the mean rate, then goes quiet for the rest of
 each sixteen-slice cycle.  The micro-batching scheduler should absorb
-each burst into a handful of fused flushes; the replay harness watches
+each burst into a handful of batched flushes; the replay harness watches
 whether p95/p99 ingest latency stays bounded while it does.  Offline,
 the scenario doubles as a sanity check that accuracy is unaffected by
 batch-size choices made for throughput.

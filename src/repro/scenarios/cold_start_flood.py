@@ -6,7 +6,7 @@ of a service coming back after a restart, where reconnecting clients
 pile on faster and faster while every session is still in its startup
 window.  Early slices land in warmup absorption (no factor update, so
 they should be nearly free); the flood at the end arrives once all
-sessions are initialized and exercises fused multi-session flushes at
+sessions are initialized and keeps every dispatch thread flushing at
 peak rate.  The stream is short and clean (5% missing) — this
 scenario is about session-fleet latency under ramp, not model
 robustness.

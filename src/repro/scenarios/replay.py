@@ -177,10 +177,10 @@ def validate_trace_chains(
 
     Every span must carry all :data:`TRACE_STAGES` timestamps, monotone
     non-decreasing — the accept→enqueue→dispatch→execute→commit chain
-    is complete or it is a bug, including across the process-pool
-    pickle boundary.  With ``expected_seqs`` (session id -> the slice
-    seqs that were acked, only meaningful at sample rate 1.0), every
-    expected slice must have exactly such an error-free span.
+    is complete or it is a bug, including across the router hop.
+    With ``expected_seqs`` (session id -> the slice seqs that were
+    acked, only meaningful at sample rate 1.0), every expected slice
+    must have exactly such an error-free span.
     """
     problems: list[str] = []
     seen: dict[str, set] = {}

@@ -3,10 +3,8 @@
 Hosts fleets of concurrent SOFIA sessions behind one runtime: a
 :class:`~repro.serving.manager.SessionManager` with per-session locks,
 a micro-batching :class:`~repro.serving.scheduler.MicroBatchScheduler`
-that flushes buffered slices through the fused ``Sofia.step_batch``
-path and groups same-shaped sessions into fused dispatches, a
-:class:`~repro.serving.pool.WorkerPool` executor seam (in-process
-threads or a GIL-escaping ``multiprocessing`` tier), an LRU
+whose dispatch threads flush each session's buffered slices through
+one in-process ``Sofia.step_batch`` call, an LRU
 :class:`~repro.serving.store.CheckpointStore` that spills cold
 sessions to disk and rehydrates them transparently, and a stdlib-only
 JSON/HTTP gateway (``repro-serve``, versioned under ``/v1``) with
@@ -48,12 +46,7 @@ from repro.serving.observability import (
     percentile_from_buckets,
     render_prometheus,
 )
-from repro.serving.pool import (
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-    WorkerPool,
-    make_worker_pool,
-)
+from repro.serving.pool import FlushRequest, FlushResult
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
 from repro.serving.shard import (
     HashRing,
@@ -63,7 +56,6 @@ from repro.serving.shard import (
     start_local_cluster,
 )
 from repro.serving.store import CheckpointStore, checkpoint_meta_path
-from repro.serving.worker import FlushRequest, FlushResult
 
 __all__ = [
     "TRACE_HEADER",
@@ -81,7 +73,6 @@ __all__ = [
     "LocalCluster",
     "MicroBatchScheduler",
     "PendingSlice",
-    "ProcessWorkerPool",
     "ServingClient",
     "ServingMetrics",
     "SessionManager",
@@ -90,12 +81,9 @@ __all__ = [
     "ShardRouterServer",
     "SliceResult",
     "SliceSpan",
-    "ThreadWorkerPool",
     "TraceBuffer",
-    "WorkerPool",
     "checkpoint_meta_path",
     "make_config",
-    "make_worker_pool",
     "mint_trace_id",
     "percentile_from_buckets",
     "render_prometheus",

@@ -58,7 +58,7 @@ configs/shapes/JSON 400, everything else 500.
 ``main`` is the ``repro-serve`` console entry point::
 
     repro-serve --port 8349 --max-resident 64 --max-batch 16 \
-        --max-latency-ms 50 --workers 4 --worker-kind process
+        --max-latency-ms 50 --workers 4
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from repro.exceptions import (
 )
 from repro.serving.manager import SessionManager
 from repro.serving.observability import TRACE_HEADER, render_prometheus
-from repro.serving.pool import WORKER_KINDS
 
 __all__ = ["ServingHTTPServer", "main", "serve"]
 
@@ -93,6 +92,19 @@ API_PREFIX = "/v1"
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _reject_constant(name: str):
+    """``parse_constant`` hook: refuse ``NaN``/``Infinity`` literals.
+
+    Python's ``json`` accepts them by default, and a single non-finite
+    observed cell would poison a session's model for good, so such a
+    body is a 400 like any other malformed request.
+    """
+    raise ValueError(
+        f"request body is not valid JSON: non-finite literal {name!r}"
+    )
+
 
 _SESSION_PATH = re.compile(
     r"^/sessions/(?P<sid>[^/]+)"
@@ -182,7 +194,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             return {}
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(
+                raw.decode("utf-8"), parse_constant=_reject_constant
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):
@@ -482,28 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=2,
-        help="flush worker lanes (default 2)",
-    )
-    parser.add_argument(
-        "--worker-kind",
-        choices=WORKER_KINDS,
-        default="thread",
-        help="where flushes execute: 'thread' shares the gateway's "
-        "GIL, 'process' runs each lane in its own interpreter "
-        "(default thread)",
-    )
-    parser.add_argument(
-        "--no-fuse-sessions",
-        dest="fuse_sessions",
-        action="store_false",
-        help="disable cross-session batch fusion (one dispatch per "
-        "session; per-session results are identical either way)",
-    )
-    parser.add_argument(
-        "--max-fused-sessions",
-        type=int,
-        default=8,
-        help="max sessions sharing one fused dispatch (default 8)",
+        help="flush dispatch threads (default 2)",
     )
     parser.add_argument(
         "--trace-sample-rate",
@@ -529,9 +522,6 @@ def main(argv: list[str] | None = None) -> int:
         max_batch=args.max_batch,
         max_latency_s=args.max_latency_ms / 1000.0,
         workers=args.workers,
-        worker_kind=args.worker_kind,
-        fuse_sessions=args.fuse_sessions,
-        max_fused_sessions=args.max_fused_sessions,
         trace_sample_rate=args.trace_sample_rate,
         trace_capacity=args.trace_capacity,
     )
@@ -541,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"repro-serve listening on http://{args.host}:{server.port}"
         f"{API_PREFIX} (max_batch={args.max_batch}, "
-        f"workers={args.workers} {args.worker_kind}, "
+        f"workers={args.workers}, "
         f"max_resident={args.max_resident or 'unbounded'})"
     )
     try:

@@ -5,28 +5,23 @@ A :class:`SessionManager` hosts a fleet of independent SOFIA models
 stream.  It composes the serving pieces:
 
 * the :class:`~repro.serving.scheduler.MicroBatchScheduler` buffers
-  ingested slices per session, groups due sessions with matching
-  fusion keys, and dispatches fused flush groups;
-* a :class:`~repro.serving.pool.WorkerPool` executes those groups —
-  in-process threads (the default) or a ``multiprocessing`` worker
-  tier that escapes the GIL, selected via ``worker_pool=`` /
-  ``worker_kind=``;
+  ingested slices per session and hands each due session's batch to
+  one of its dispatch threads;
 * the :class:`~repro.serving.store.CheckpointStore` bounds resident
   memory — cold sessions spill to disk and rehydrate transparently on
-  their next flush — and doubles as the process handoff medium
+  their next flush — and doubles as the migration handoff medium
   (:meth:`~repro.serving.store.CheckpointStore.export_state` /
   :meth:`~repro.serving.store.CheckpointStore.import_state`);
 * :class:`~repro.serving.metrics.ServingMetrics` counts everything.
 
-Flushing is a three-step cycle around plain data: the manager
-*prepares* a picklable :class:`~repro.serving.worker.FlushRequest` per
-group member (warmup bookkeeping, state checkout/serialization), the
-pool *executes* the group wherever it runs, and the manager *commits*
-each :class:`~repro.serving.worker.FlushResult` back (store the
-updated model, publish per-slice results, record failures).  Sessions
-in one fused group share a single dispatch, but each is prepared,
-executed, and committed independently — one member's failure poisons
-only that member.
+Flushing is a three-step cycle around plain data, all on the dispatch
+thread and under the session's lock: the manager *prepares* a
+:class:`~repro.serving.pool.FlushRequest` (warmup bookkeeping, model
+checkout), :func:`~repro.serving.pool.execute_requests` *executes* it
+in-process, and the manager *commits* the
+:class:`~repro.serving.pool.FlushResult` back (store the updated
+model, publish per-slice results, record failures).  A failing flush
+poisons only its own session.
 
 Session lifecycle
 -----------------
@@ -46,17 +41,12 @@ Thread-safety
 The registry has its own lock; each session carries a per-session lock
 held for the duration of any model mutation (one flush, impute, or
 forecast at a time per session — different sessions proceed in
-parallel).  A fused flush holds every member's lock, acquired in
-sorted session-id order (all other paths take at most one session
-lock, so the ordering cannot deadlock).  Lock order is registry ->
-session -> store; the scheduler's condition variable is never held
-across a flush, and fusion keys are computed from immutable or
-atomically-read session fields so the scheduler can ask for them
-without taking session locks.  Worker threads may run sessions pinned
+parallel).  Every path takes at most one session lock.  Lock order is
+registry -> session -> store; the scheduler's condition variable is
+never held across a flush.  Dispatch threads may run sessions pinned
 to different kernel backends concurrently — safe because the backend
 registries are context-local per thread (see
-``repro.tensor.kernels.use_backend``) and a process worker applies the
-pin inside its own interpreter.
+``repro.tensor.kernels.use_backend``).
 """
 
 from __future__ import annotations
@@ -65,8 +55,7 @@ import json
 import tempfile
 import threading
 from collections import deque
-from collections.abc import Hashable
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,10 +77,10 @@ from repro.serving.observability import (
     SliceSpan,
     TraceBuffer,
 )
-from repro.serving.pool import WorkerPool, make_worker_pool
+from repro.serving import pool
+from repro.serving.pool import FlushRequest, FlushResult
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
 from repro.serving.store import CheckpointStore, checkpoint_meta_path
-from repro.serving.worker import FlushRequest, FlushResult
 from repro.tensor import kernels
 from repro.tensor.validation import check_mask
 
@@ -160,28 +149,15 @@ class _Session:
         )
 
 
-class _Runner:
-    """The scheduler-facing seam of one manager (see ``FlushRunner``)."""
-
-    def __init__(self, manager: "SessionManager") -> None:
-        self._manager = manager
-
-    def run(self, jobs: list[tuple[str, list[PendingSlice]]]) -> None:
-        self._manager._run_flush_jobs(jobs)
-
-    def fusion_key(self, session_id: str) -> Hashable | None:
-        return self._manager._session_fusion_key(session_id)
-
-
 @dataclass
 class _Prepared:
-    """One group member between prepare and commit."""
+    """One session's flush between prepare and commit."""
 
     session: _Session
     items: list[PendingSlice]
     request: FlushRequest | None = None
-    #: Whether prepare checked the live model out of the store (the
-    #: in-process transport); commit must check it back in.
+    #: Whether prepare checked the live model out of the store; commit
+    #: must check it back in.
     checked_out: bool = False
     #: Whether the request initializes the session from its warmup.
     initializes: bool = False
@@ -194,15 +170,9 @@ class _Prepared:
 class SessionManager:
     """Create/ingest/impute/forecast/close over many SOFIA sessions.
 
-    The executor seam: ``worker_pool`` takes any ready-made
-    :class:`~repro.serving.pool.WorkerPool`; otherwise one is built
-    from ``worker_kind`` (``"thread"`` in-process, ``"process"`` for
-    the multiprocessing tier) and ``workers``.  The manager owns the
-    pool either way and closes it with the runtime.  ``fuse_sessions``
-    switches cross-session batch fusion (grouping due sessions with
-    identical ``(shape, rank, dtype, backend)`` into one dispatch, at
-    most ``max_fused_sessions`` per group); per-session results are
-    bit-identical either way.
+    ``workers`` is the number of scheduler dispatch threads: up to
+    that many sessions flush concurrently, each one session's batch at
+    a time, in-process.
 
     ``durable=True`` turns the checkpoint directory into crash-safe
     state: after every committed flush the session's checkpoint is
@@ -222,10 +192,6 @@ class SessionManager:
         max_batch: int = 16,
         max_latency_s: float = 0.05,
         workers: int = 2,
-        worker_kind: str = "thread",
-        worker_pool: WorkerPool | None = None,
-        fuse_sessions: bool = True,
-        max_fused_sessions: int = 8,
         keep_results: int = 64,
         durable: bool = False,
         trace_sample_rate: float = 0.0,
@@ -257,16 +223,11 @@ class SessionManager:
             durable=durable,
         )
         self._keep_results = keep_results
-        if worker_pool is None:
-            worker_pool = make_worker_pool(worker_kind, workers)
-        self._pool = worker_pool
         self._scheduler = MicroBatchScheduler(
-            _Runner(self),
+            self._flush_session,
             max_batch=max_batch,
             max_latency_s=max_latency_s,
-            workers=self._pool.size,
-            fuse=fuse_sessions,
-            max_fused=max_fused_sessions,
+            workers=workers,
         )
         self._quality_window = quality_window
         #: Slice-lifecycle tracing: the sampling decision + bounded
@@ -288,11 +249,6 @@ class SessionManager:
             "pending_slices", self._scheduler.total_pending
         )
         self._closed = False
-
-    @property
-    def worker_pool(self) -> WorkerPool:
-        """The executor behind the scheduler (thread/process/custom)."""
-        return self._pool
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -518,13 +474,12 @@ class SessionManager:
         return self.session_info(session_id)
 
     def close(self) -> None:
-        """Drain every session and shut the worker pool down."""
+        """Drain every session and stop the dispatch threads."""
         with self._registry_lock:
             if self._closed:
                 return
             self._closed = True
         self._scheduler.close(drain=True)
-        self._pool.close()
         if self._tempdir is not None:
             self._tempdir.cleanup()
 
@@ -865,33 +820,6 @@ class SessionManager:
             return nullcontext()
         return kernels.use_backend(session.kernel_backend)
 
-    def _session_fusion_key(self, session_id: str) -> Hashable | None:
-        """What makes sessions fusable: same shape, rank, dtype, backend.
-
-        Called by the scheduler *under its condition variable*, so this
-        must not take session locks (lock order is session -> scheduler
-        condition).  Every field read is either immutable after
-        creation (config, kernel backend) or an atomically-assigned
-        snapshot (``initialized``, ``subtensor_shape``); a stale read
-        only costs one missed or solo fusion, never correctness.
-        Warming and failed sessions never fuse.
-        """
-        with self._registry_lock:
-            session = self._sessions.get(session_id)
-        if (
-            session is None
-            or not session.initialized
-            or session.failure is not None
-            or session.subtensor_shape is None
-        ):
-            return None
-        return (
-            session.subtensor_shape,
-            session.config.rank,
-            session.config.dtype,
-            session.kernel_backend,
-        )
-
     def _persist_session_locked(self, session: _Session) -> None:
         """Write the durable checkpoint + bookkeeping sidecar.
 
@@ -918,82 +846,56 @@ class SessionManager:
             json.dumps(meta), encoding="utf-8"
         )
 
-    def _run_flush_jobs(
-        self, jobs: list[tuple[str, list[PendingSlice]]]
+    def _flush_session(
+        self, session_id: str, items: list[PendingSlice]
     ) -> None:
-        """Scheduler dispatch: apply one fused group of micro-batches.
+        """Scheduler dispatch: apply one session's micro-batch.
 
-        Never raises — a failing member marks only its own session
+        Never raises — a failing flush marks only its own session
         failed and the error surfaces on the next API call against it.
-        All member locks are taken in sorted session-id order for the
-        whole prepare/execute/commit cycle, so synchronous operations
-        (impute, forecast, results) observe each flush atomically.
+        The session lock is held for the whole prepare/execute/commit
+        cycle, so synchronous operations (impute, forecast, results)
+        observe each flush atomically.
         """
-        members: list[tuple[_Session, list[PendingSlice]]] = []
-        for session_id, items in sorted(jobs):
-            try:
-                members.append((self._get_session(session_id), items))
-            except SessionNotFoundError:
-                continue  # closed concurrently; nothing to apply to
-        if not members:
-            return
-        with ExitStack() as stack:
-            for session, _ in members:
-                stack.enter_context(session.lock)
-            prepared = [
-                self._prepare_locked(session, items)
-                for session, items in members
-            ]
-            for plan in prepared:
-                if plan.request is None and plan.session.failure:
+        try:
+            session = self._get_session(session_id)
+        except SessionNotFoundError:
+            return  # closed concurrently; nothing to apply to
+        with session.lock:
+            plan = self._prepare_locked(session, items)
+            if plan.request is None:
+                if session.failure:
                     # Dropped batch of a failed session: complete any
                     # traced slices' spans with the error instead of
                     # leaving them dangling forever.
                     self._record_dropped_spans(plan)
-            requests = [
-                plan.request for plan in prepared if plan.request is not None
-            ]
-            if requests:
-                # One stamp for the fused group: the pool hand-off.
-                dispatched_at = self._scheduler.now()
-                results = self._pool.execute(requests)
-                # ... and one when the group's results are back (on a
-                # process pool the gap minus the worker's own seconds
-                # is IPC + peer time).
-                returned_at = self._scheduler.now()
-                self.metrics.increment("dispatches")
-                if len(requests) > 1:
-                    self.metrics.increment("fused_dispatches")
-                    self.metrics.increment(
-                        "fused_sessions_flushed", len(requests)
-                    )
-                by_session = {
-                    result.session_id: result for result in results
-                }
-                for plan in prepared:
-                    if plan.request is None:
-                        continue
-                    self._commit_locked(
-                        plan,
-                        by_session.get(plan.request.session_id),
-                        dispatched_at=dispatched_at,
-                        returned_at=returned_at,
-                    )
-                    if (
-                        self._durable
-                        and plan.session.failure is None
-                        and plan.session.initialized
-                    ):
-                        # Member locks are still held, so the persisted
-                        # checkpoint + sidecar are exactly the committed
-                        # state — the failover tier never reads a torn
-                        # snapshot.
-                        self._persist_session_locked(plan.session)
+                return
+            dispatched_at = self._scheduler.now()
+            # Looked up on the module at call time, so a wrapper
+            # installed on ``pool.execute_requests`` sees every flush.
+            (result,) = pool.execute_requests([plan.request])
+            returned_at = self._scheduler.now()
+            self.metrics.increment("dispatches")
+            self._commit_locked(
+                plan,
+                result,
+                dispatched_at=dispatched_at,
+                returned_at=returned_at,
+            )
+            if (
+                self._durable
+                and session.failure is None
+                and session.initialized
+            ):
+                # The session lock is still held, so the persisted
+                # checkpoint + sidecar are exactly the committed state
+                # — the failover tier never reads a torn snapshot.
+                self._persist_session_locked(session)
 
     def _prepare_locked(
         self, session: _Session, items: list[PendingSlice]
     ) -> _Prepared:
-        """Turn one member's batch into a flush request (or buffer it).
+        """Turn one session's batch into a flush request (or buffer it).
 
         Warmup bookkeeping happens here, in the manager: slices of a
         warming session accumulate until ``init_steps`` have arrived,
@@ -1024,7 +926,6 @@ class SessionManager:
         request = FlushRequest(
             session_id=session.session_id,
             config=config,
-            transport=self._pool.transport,
             kernel_backend=session.kernel_backend,
         )
         if not session.initialized:
@@ -1066,18 +967,12 @@ class SessionManager:
                 [item.mask for item in remaining]
             )
         if session.initialized:
-            if self._pool.transport == "state":
-                request.state = self._store.export_state(
-                    session.session_id
-                )
-            else:
-                request.model = self._store.checkout(session.session_id)
-                plan.checked_out = True
+            request.model = self._store.checkout(session.session_id)
+            plan.checked_out = True
         if span_starts:
             plan.span_starts = span_starts
-            # The trace context rides inside the (picklable) request
-            # and is echoed back on the result — across the process
-            # boundary on the "state" transport.
+            # The trace context rides inside the request and is echoed
+            # back on the result.
             request.trace_ids = {
                 seq: start[0] for seq, start in span_starts.items()
             }
@@ -1105,7 +1000,6 @@ class SessionManager:
                     dispatched=now,
                     executed=now,
                     committed=now,
-                    transport=self._pool.transport,
                     error=f"dropped: {plan.session.failure}",
                 )
             )
@@ -1113,20 +1007,16 @@ class SessionManager:
     def _commit_locked(
         self,
         plan: _Prepared,
-        result: FlushResult | None,
+        result: FlushResult,
         *,
         dispatched_at: float,
         returned_at: float,
     ) -> None:
-        """Fold one member's result back into its session."""
+        """Fold one flush's result back into its session."""
         session = plan.session
         try:
-            if result is None or result.error is not None:
-                session.failure = (
-                    "worker pool returned no result for this flush"
-                    if result is None
-                    else result.error
-                )
+            if result.error is not None:
+                session.failure = result.error
                 self.metrics.increment("flush_failures")
                 self._record_spans_locked(
                     plan,
@@ -1137,12 +1027,8 @@ class SessionManager:
                     error=session.failure,
                 )
                 return
-            if result.state is not None:
-                self._store.import_state(
-                    session.session_id, result.state
-                )
-            elif result.model is not None and not plan.checked_out:
-                # Freshly initialized on the in-process transport.
+            if result.model is not None and not plan.checked_out:
+                # Freshly initialized by this flush.
                 self._store.put(session.session_id, result.model)
             if plan.initializes:
                 session.warmup = []
@@ -1175,9 +1061,9 @@ class SessionManager:
                 self.metrics.observe_latency(
                     "ingest", committed_at - item.arrived_at
                 )
-            # Quality telemetry: the worker's per-slice aggregates and
+            # Quality telemetry: the flush's per-slice aggregates and
             # post-batch error scale land in the session's sliding
-            # window (scalars only — the arrays stayed in the worker).
+            # window (scalars only, no arrays).
             session.quality.observe_batch(
                 result.quality,
                 result.error_scale,
@@ -1198,7 +1084,7 @@ class SessionManager:
     def _record_spans_locked(
         self,
         plan: _Prepared,
-        result: FlushResult | None,
+        result: FlushResult,
         *,
         dispatched_at: float,
         returned_at: float,
@@ -1208,23 +1094,19 @@ class SessionManager:
         """Complete this flush's traced slices' spans into the ring.
 
         All stamps come from the scheduler's monotonic clock, so every
-        chain is monotone by construction even across the process-pool
-        boundary: the worker's own ``seconds`` measurement travels
-        back as ``execute_seconds`` (the kernel share of
-        ``dispatched -> executed``; the remainder is IPC plus fused
-        peers).  Trace ids are taken from the result's echoed map when
-        available — the proof they crossed the transport.
+        chain is monotone by construction.  The flush's own
+        ``seconds`` measurement becomes ``execute_seconds`` (the
+        kernel share of ``dispatched -> executed``).  Trace ids are
+        taken from the result's echoed map.
         """
         if not plan.span_starts:
             return
-        echoed = result.trace_ids if result is not None else {}
-        seconds = result.seconds if result is not None else 0.0
         for seq, (trace_id, accepted, enqueued) in (
             plan.span_starts.items()
         ):
             self.tracer.record(
                 SliceSpan(
-                    trace_id=echoed.get(seq, trace_id),
+                    trace_id=result.trace_ids.get(seq, trace_id),
                     session_id=plan.session.session_id,
                     seq=seq,
                     accepted=accepted,
@@ -1232,8 +1114,7 @@ class SessionManager:
                     dispatched=max(dispatched_at, enqueued, accepted),
                     executed=max(returned_at, dispatched_at),
                     committed=max(committed_at, returned_at),
-                    execute_seconds=seconds,
-                    transport=self._pool.transport,
+                    execute_seconds=result.seconds,
                     error=error,
                 )
             )

@@ -33,15 +33,10 @@ _COUNTERS = (
     "rehydrations",
     "imputations",
     "forecasts",
-    # One per scheduler dispatch (= one worker wakeup; on a process
-    # pool, one IPC round-trip).  A dispatch covering a fused group of
-    # several sessions also counts into fused_dispatches, and every
-    # group member into fused_sessions_flushed — so
-    # batches_flushed / dispatches is the cross-session amortization
-    # factor the fusion path exists for.
+    # One per executed flush (one session's batch run through
+    # step_batch).  Warmup slices absorbed without running the model
+    # count into batches_flushed but not here.
     "dispatches",
-    "fused_dispatches",
-    "fused_sessions_flushed",
     # Live-migration handoffs: one export per drained state shipped
     # off this runtime, one import per state adopted from elsewhere.
     "session_exports",
@@ -238,10 +233,8 @@ class ServingMetrics:
     def snapshot(self) -> dict:
         """A consistent point-in-time copy of every counter.
 
-        Includes three derived values — ``mean_batch_size`` (flushed
-        slices per flush), ``mean_fused_sessions`` (session flushes
-        per scheduler dispatch — 1.0 means no cross-session fusion
-        happened), and ``flush_seconds_total`` — plus one
+        Includes two derived values — ``mean_batch_size`` (flushed
+        slices per flush) and ``flush_seconds_total`` — plus one
         ``<name>_latency`` dict per histogram carrying
         ``count``/``mean_seconds``/``max_seconds`` and the
         ``p50/p95/p99_seconds`` percentiles.
@@ -261,22 +254,9 @@ class ServingMetrics:
         for name, fn in gauges.items():
             counts[name] = fn()
         batches = counts["batches_flushed"]
-        dispatches = counts["dispatches"]
         counts["flush_seconds_total"] = flush_seconds
         counts["mean_batch_size"] = (
             counts["slices_flushed"] / batches if batches else 0.0
-        )
-        # Solo dispatches carry one session each; fused ones carry
-        # their member count (fused_sessions_flushed).  Warmup slices
-        # absorbed without a dispatch count into batches_flushed but
-        # not here.
-        dispatched_flushes = (
-            counts["dispatches"]
-            - counts["fused_dispatches"]
-            + counts["fused_sessions_flushed"]
-        )
-        counts["mean_fused_sessions"] = (
-            dispatched_flushes / dispatches if dispatches else 0.0
         )
         for name, summary in summaries.items():
             counts[f"{name}_latency"] = summary

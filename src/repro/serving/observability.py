@@ -7,11 +7,10 @@ path:
 * **Slice-lifecycle tracing.**  A trace id is minted (or accepted via
   the ``X-Repro-Trace-Id`` header) when a slice is ingested and rides
   the slice through every stage: gateway accept, scheduler enqueue,
-  pool dispatch (crossing the process boundary inside the pickled
-  ``FlushRequest``), worker execution, and manager commit.  Completed
-  :class:`SliceSpan` records land in a bounded ring
-  (:class:`TraceBuffer`) queryable at ``GET /v1/traces``, so a p99
-  slice can be decomposed into queue wait vs IPC vs kernel time.
+  flush dispatch (inside the session's ``FlushRequest``), execution,
+  and manager commit.  Completed :class:`SliceSpan` records land in a
+  bounded ring (:class:`TraceBuffer`) queryable at ``GET /v1/traces``,
+  so a p99 slice can be decomposed into queue wait vs kernel time.
   Sampling is off by default: with ``sample_rate == 0`` and no
   explicit trace id, :meth:`TraceBuffer.sample` is a single float
   compare and no per-span state is allocated anywhere.
@@ -23,7 +22,7 @@ path:
   from :class:`LatencyHistogram`'s existing bounds.
 
 * **Per-session quality telemetry.**  :class:`SessionQuality`
-  accumulates the cheap per-slice aggregates the worker computes from
+  accumulates the cheap per-slice aggregates each flush computes from
   values SOFIA's dynamic phase already produced (one-step-ahead
   forecast residuals, outlier indicators, the running error scale
   Sigma-hat) into a sliding window, snapshotted at
@@ -78,10 +77,10 @@ class SliceSpan:
     Timestamps are seconds on the owning manager's scheduler clock
     (``time.monotonic`` in production), so they are comparable *within*
     a span but not across processes.  ``execute_seconds`` is the
-    worker's own measurement of this session's flush; on a process
-    pool the gap ``(executed - dispatched) - execute_seconds`` is the
-    IPC + fused-group overhead, which is exactly the queue-wait vs IPC
-    vs kernel decomposition traces exist to answer.
+    flush's own measurement of this session's batch; the gap
+    ``(executed - dispatched) - execute_seconds`` is the dispatch
+    overhead around it, so a span splits into queue wait, overhead
+    and kernel time.
     """
 
     trace_id: str
@@ -93,7 +92,6 @@ class SliceSpan:
     executed: float
     committed: float
     execute_seconds: float = 0.0
-    transport: str = "model"
     error: str | None = None
 
     def timestamps(self) -> list[float]:
@@ -128,7 +126,6 @@ class SliceSpan:
                 0.0,
             ),
             "total_seconds": max(self.committed - self.accepted, 0.0),
-            "transport": self.transport,
             "error": self.error,
         }
 
@@ -228,20 +225,19 @@ class TraceBuffer:
 # Per-session quality telemetry
 # ---------------------------------------------------------------------------
 
-#: One slice's quality aggregates, computed worker-side from arrays the
-#: dynamic phase already produced: ``observed`` mask cardinality, the
+#: One slice's quality aggregates, computed at flush time from arrays
+#: the dynamic phase already produced: ``observed`` mask cardinality, the
 #: sum of squared one-step-ahead forecast residuals over observed
 #: entries, the matching sum of squared observed values (the NRE
 #: denominator), and how many entries the robust step flagged as
-#: outliers.  Plain tuple-of-scalars so it pickles cheaply inside
-#: ``FlushResult``.
+#: outliers.  A plain tuple of scalars, carried on ``FlushResult``.
 SliceQuality = tuple  # (seq, observed, residual_ss, signal_ss, outliers)
 
 
 class SessionQuality:
     """Sliding-window quality accumulator for one session.
 
-    Fed at commit time with the :data:`SliceQuality` tuples the worker
+    Fed at commit time with the :data:`SliceQuality` tuples the flush
     computed; answers the ``SessionStats`` fields — running NRE of the
     one-step-ahead forecast, outlier fraction, latest error scale, and
     last-flush staleness.  Bounded by ``window`` slices, O(window)

@@ -1,210 +1,164 @@
-"""The executor seam: where flush requests actually run.
+"""Flush execution: one session's batch in, its result out.
 
-A :class:`WorkerPool` turns a group of
-:class:`~repro.serving.worker.FlushRequest` into matching
-:class:`~repro.serving.worker.FlushResult` — and *which Python* does
-the arithmetic is the pool's business, not the scheduler's or the
-manager's:
+A :class:`FlushRequest` describes everything one session's flush needs
+— the live :class:`~repro.core.Sofia` model (or, for a session still
+warming up, the completed initialization window) plus the buffered
+dynamic-phase slices — and a :class:`FlushResult` carries everything
+the manager must commit back.  :func:`execute_requests` runs requests
+in-process on the calling scheduler dispatch thread: the session
+manager prepares a request under the session's lock, hands it over,
+and commits the result under the same lock.
 
-* :class:`ThreadWorkerPool` executes on the calling scheduler thread,
-  in-process.  Zero serialization (the ``"model"`` transport passes
-  the live ``Sofia`` object), but every flush shares one GIL — the
-  Python layer between kernel calls serializes across sessions.
-* :class:`ProcessWorkerPool` owns ``workers`` long-lived
-  ``multiprocessing`` lanes; a flush group is pickled over a pipe
-  (the ``"state"`` transport: model state as versioned
-  checkpoint-format bytes), executed in the worker's own interpreter,
-  and the results pickled back.  Flushes of different groups run on
-  different cores with no shared GIL — throughput scales with
-  ``workers`` on multi-core machines at the cost of one
-  serialize/deserialize round-trip per flush (which cross-session
-  fusion amortizes over whole groups of tenants).
-
-Pools are deliberately *passive*: they have no queue and no threads of
-their own waiting for work.  The scheduler's dispatch threads (one per
-lane) call :meth:`WorkerPool.execute` synchronously, so backpressure,
-ordering, and fusion all stay in one place — the scheduler.
-
-``make_worker_pool`` maps the CLI surface
-(``--worker-kind {thread,process}``) onto constructors; passing a
-ready-made pool to ``SessionManager(worker_pool=...)`` covers
-everything else (tests wrap pools to observe fusion, future transports
-implement the same protocol).
+Execution never raises.  A failing batch becomes an ``error`` result,
+and the manager marks only that session failed.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
-import threading
-from typing import Protocol, runtime_checkable
+import time
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
-from repro.serving.worker import (
-    FlushRequest,
-    FlushResult,
-    execute_requests,
-    process_worker_main,
-)
+import numpy as np
+
+from repro.core.config import SofiaConfig
+from repro.core.sofia import Sofia
+from repro.tensor import kernels
 
 __all__ = [
-    "ProcessWorkerPool",
-    "ThreadWorkerPool",
-    "WorkerPool",
-    "make_worker_pool",
+    "FlushRequest",
+    "FlushResult",
+    "execute_request",
+    "execute_requests",
 ]
 
-WORKER_KINDS = ("thread", "process")
 
+@dataclass
+class FlushRequest:
+    """One session's flush, as plain data.
 
-@runtime_checkable
-class WorkerPool(Protocol):
-    """Executes flush-request groups; selected at manager construction.
+    ``model`` carries the session's live model — or ``None``, when this
+    flush *initializes* the session from its completed warmup window
+    (``warmup_ys`` set).  ``step_seqs``/``step_ys``/``step_masks``
+    describe the dynamic-phase slices to apply after any
+    initialization, oldest first.
 
-    ``size`` is the number of groups that can execute concurrently
-    (the scheduler starts one dispatch thread per lane), ``transport``
-    is the request transport the pool needs — ``"model"`` for live
-    in-process objects, ``"state"`` for picklable checkpoint bytes —
-    and ``kind`` names the pool on metrics and benchmark reports.
+    ``trace_ids`` maps sequence numbers to lifecycle trace ids for the
+    slices that are being traced (usually none); it is echoed back on
+    the result.
     """
 
-    kind: str
-    transport: str
-
-    @property
-    def size(self) -> int: ...
-
-    def execute(
-        self, requests: list[FlushRequest]
-    ) -> list[FlushResult]: ...
-
-    def close(self) -> None: ...
-
-
-def _check_workers(workers: int) -> int:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+    session_id: str
+    config: SofiaConfig
+    kernel_backend: str | None = None
+    model: Sofia | None = None
+    warmup_seqs: list[int] = field(default_factory=list)
+    warmup_ys: np.ndarray | None = None
+    warmup_masks: np.ndarray | None = None
+    step_seqs: list[int] = field(default_factory=list)
+    step_ys: np.ndarray | None = None
+    step_masks: np.ndarray | None = None
+    trace_ids: dict[int, str] = field(default_factory=dict)
 
 
-class ThreadWorkerPool:
-    """In-process execution on the calling scheduler thread."""
+@dataclass
+class FlushResult:
+    """What one executed flush hands back to the manager.
 
-    kind = "thread"
-    transport = "model"
+    ``results`` pairs each consumed slice's sequence number with its
+    completed (imputed) reconstruction.  ``model`` is the updated (or
+    freshly initialized) model; ``error`` is the formatted exception
+    when execution failed (the other fields then describe nothing and
+    the manager marks the session failed).
 
-    def __init__(self, workers: int = 2) -> None:
-        self._size = _check_workers(workers)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def execute(
-        self, requests: list[FlushRequest]
-    ) -> list[FlushResult]:
-        return execute_requests(requests)
-
-    def close(self) -> None:
-        pass
-
-
-class _Lane:
-    """One worker process plus the parent end of its pipe."""
-
-    def __init__(self, context) -> None:
-        self.connection, child = multiprocessing.Pipe()
-        self.process = context.Process(
-            target=process_worker_main,
-            args=(child,),
-            daemon=True,
-            name="repro-serve-worker",
-        )
-        self.process.start()
-        # The child inherited (or re-imported with) its own handle;
-        # closing the parent's copy makes a dead worker surface as
-        # EOFError on recv instead of a hang.
-        child.close()
-
-    def stop(self, timeout: float) -> None:
-        try:
-            self.connection.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        self.connection.close()
-
-
-class ProcessWorkerPool:
-    """``workers`` long-lived multiprocessing lanes behind a free-list.
-
-    Lanes start eagerly (the ``"spawn"`` start method by default —
-    fork is unsafe under the scheduler's threads) so the interpreter
-    and import cost is paid once at pool construction, not on the
-    flush path.  A lane whose pipe breaks mid-flush is respawned and
-    the affected group's sessions get error results — the same
-    poison-one-session contract in-process failures have.
+    ``quality`` carries one ``(seq, observed, residual_ss, signal_ss,
+    outliers)`` tuple per dynamic-phase slice — scalar aggregates of
+    arrays the step already produced (one-step-ahead forecast
+    residuals, outlier indicators), folded into the session's quality
+    window at commit.  ``error_scale`` is the post-batch mean of the
+    model's running error scale Sigma-hat.  ``trace_ids`` is the
+    request's map, echoed back.
     """
 
-    kind = "process"
-    transport = "state"
+    session_id: str
+    results: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    consumed: int = 0
+    model: Sofia | None = None
+    error: str | None = None
+    seconds: float = 0.0
+    quality: list[tuple] = field(default_factory=list)
+    error_scale: float | None = None
+    trace_ids: dict[int, str] = field(default_factory=dict)
 
-    def __init__(
-        self, workers: int = 2, *, start_method: str = "spawn"
-    ) -> None:
-        self._size = _check_workers(workers)
-        self._context = multiprocessing.get_context(start_method)
-        self._idle: queue.Queue[_Lane] = queue.Queue()
-        self._close_lock = threading.Lock()
-        self._closed = False
-        for _ in range(self._size):
-            self._idle.put(_Lane(self._context))
 
-    @property
-    def size(self) -> int:
-        return self._size
+def _backend_scope(name: str | None):
+    return nullcontext() if name is None else kernels.use_backend(name)
 
-    def execute(
-        self, requests: list[FlushRequest]
-    ) -> list[FlushResult]:
-        lane = self._idle.get()
-        try:
-            lane.connection.send(requests)
-            return lane.connection.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            lane.stop(timeout=1.0)
-            lane = _Lane(self._context)
-            return [
-                FlushResult(
-                    session_id=request.session_id,
-                    error=(
-                        "worker process died during flush: "
-                        f"{type(exc).__name__}: {exc}"
-                    ),
+
+def execute_request(request: FlushRequest) -> FlushResult:
+    """Run one flush; never raises (failures become ``error`` results)."""
+    started = time.perf_counter()
+    result = FlushResult(session_id=request.session_id)
+    try:
+        with _backend_scope(request.kernel_backend):
+            sofia = request.model
+            if request.warmup_ys is not None:
+                sofia = Sofia(request.config)
+                completed = sofia.initialize(
+                    list(request.warmup_ys), list(request.warmup_masks)
                 )
-                for request in requests
-            ]
-        finally:
-            self._idle.put(lane)
+                result.results.extend(
+                    zip(request.warmup_seqs, completed)
+                )
+                result.consumed += len(request.warmup_seqs)
+            if request.step_ys is not None and len(request.step_seqs):
+                steps = sofia.step_batch(
+                    request.step_ys, request.step_masks
+                )
+                result.results.extend(
+                    (seq, step.completed)
+                    for seq, step in zip(request.step_seqs, steps)
+                )
+                result.consumed += len(request.step_seqs)
+                # Quality aggregates from arrays the step already
+                # computed — reductions only, no new linear algebra.
+                for seq, step, y, m in zip(
+                    request.step_seqs,
+                    steps,
+                    request.step_ys,
+                    request.step_masks,
+                ):
+                    mask = np.asarray(m, dtype=bool)
+                    y_arr = np.asarray(y, dtype=float)
+                    forecast = np.asarray(step.prediction, dtype=float)
+                    residual = np.where(mask, y_arr - forecast, 0.0)
+                    signal = np.where(mask, y_arr, 0.0)
+                    result.quality.append(
+                        (
+                            seq,
+                            int(mask.sum()),
+                            float(np.sum(residual * residual)),
+                            float(np.sum(signal * signal)),
+                            int(np.count_nonzero(np.asarray(step.outliers))),
+                        )
+                    )
+                result.error_scale = float(
+                    np.mean(np.asarray(sofia.state.sigma))
+                )
+        result.model = sofia
+    except Exception as exc:  # noqa: BLE001 - flush boundary
+        result = FlushResult(
+            session_id=request.session_id,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    # Echoed even on error results, so a failed flush still completes
+    # its slices' spans (with the error recorded) instead of leaving
+    # dangling traces.
+    result.trace_ids = dict(request.trace_ids)
+    result.seconds = time.perf_counter() - started
+    return result
 
-    def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        for _ in range(self._size):
-            lane = self._idle.get()
-            lane.stop(timeout=5.0)
 
-
-def make_worker_pool(kind: str, workers: int) -> WorkerPool:
-    """Build the pool behind ``--worker-kind``; unknown kinds raise."""
-    if kind == "thread":
-        return ThreadWorkerPool(workers)
-    if kind == "process":
-        return ProcessWorkerPool(workers)
-    raise ValueError(
-        f"unknown worker kind {kind!r}; available: {WORKER_KINDS}"
-    )
+def execute_requests(requests: list[FlushRequest]) -> list[FlushResult]:
+    """Execute requests back to back, each isolated from the others."""
+    return [execute_request(request) for request in requests]

@@ -3,8 +3,8 @@
 Incoming slices are cheap to *accept* (append to a per-session buffer
 under a condition variable) and expensive to *apply* (a SOFIA dynamic
 step).  The scheduler decouples the two: a pool of dispatch threads
-flushes a session's buffered slices through one fused
-``Sofia.step_batch`` call when either
+flushes a session's buffered slices through one ``Sofia.step_batch``
+call when either
 
 * the buffer reaches ``max_batch`` slices (throughput trigger — this
   is where the PR-2 mini-batch amortization pays: one kernel dispatch
@@ -13,21 +13,9 @@ flushes a session's buffered slices through one fused
   (latency trigger — a trickling session is not starved just because
   it never fills a batch).
 
-Cross-session fusion
---------------------
-When a dispatch thread finds a due session, it also collects every
-*other* currently-due session with the same fusion key (the runner's
-``fusion_key`` — the manager keys initialized sessions by
-``(subtensor shape, rank, dtype, kernel backend)``) into one fused
-group, up to ``max_fused`` sessions.  The whole group is handed to the
-runner as a single job list, so one dispatch — one worker wakeup, one
-process round-trip on a process pool — amortizes across tenants
-instead of costing once per session.  Grouping never changes *what* a
-session computes: each member contributes exactly the batch it would
-have flushed alone (oldest ``max_batch`` slices), so per-session
-trajectories are bit-identical with fusion on or off.  Sessions whose
-key is ``None`` (warming sessions, unkeyed runners) always flush
-alone.
+Each flush is one session's batch: a dispatch thread pops one due
+session, hands ``(session_id, batch)`` to the ``flush`` callable, and
+goes back for the next due session.
 
 Ordering and determinism
 ------------------------
@@ -51,11 +39,10 @@ now` when building a :class:`PendingSlice`.  Tests freeze the clock by
 injecting a fake and calling :meth:`MicroBatchScheduler.kick` after
 advancing it, so deadline behaviour is pinned without real sleeps.
 
-The runner is supplied by the session manager and must not raise (the
-manager records per-session failures itself); a defensive try/finally
-still guarantees the scheduler's bookkeeping survives a misbehaving
-runner.  A plain ``flush(session_id, items)`` callable is accepted too
-and wrapped into an unfused runner.
+The ``flush(session_id, items)`` callable is supplied by the session
+manager and must not raise (the manager records per-session failures
+itself); a defensive try/finally still guarantees the scheduler's
+bookkeeping survives a misbehaving callable.
 """
 
 from __future__ import annotations
@@ -63,11 +50,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
-__all__ = ["FlushRunner", "MicroBatchScheduler", "PendingSlice"]
+__all__ = ["MicroBatchScheduler", "PendingSlice"]
 
 
 @dataclass(frozen=True)
@@ -93,46 +80,16 @@ class PendingSlice:
     accepted_at: float | None = field(default=None, compare=False)
 
 
-class FlushRunner(Protocol):
-    """What the scheduler dispatches to (the manager, in production)."""
-
-    def run(self, jobs: list[tuple[str, list[PendingSlice]]]) -> None:
-        """Apply a fused group; one (session, batch) pair per member."""
-        ...
-
-    def fusion_key(self, session_id: str) -> Hashable | None:
-        """Sessions sharing a non-``None`` key may flush as one group."""
-        ...
-
-
-class _CallableRunner:
-    """Adapter: a bare ``flush(sid, items)`` callable, never fused."""
-
-    def __init__(
-        self, flush: Callable[[str, list[PendingSlice]], None]
-    ) -> None:
-        self._flush = flush
-
-    def run(self, jobs: list[tuple[str, list[PendingSlice]]]) -> None:
-        for session_id, items in jobs:
-            self._flush(session_id, items)
-
-    def fusion_key(self, session_id: str) -> Hashable | None:
-        return None
-
-
 class MicroBatchScheduler:
-    """Per-session micro-batch buffers + fusing dispatch threads."""
+    """Per-session micro-batch buffers + dispatch threads."""
 
     def __init__(
         self,
-        runner: FlushRunner | Callable[[str, list[PendingSlice]], None],
+        flush: Callable[[str, list[PendingSlice]], None],
         *,
         max_batch: int = 16,
         max_latency_s: float = 0.05,
         workers: int = 2,
-        fuse: bool = True,
-        max_fused: int = 8,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch < 1:
@@ -143,15 +100,9 @@ class MicroBatchScheduler:
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_fused < 1:
-            raise ValueError(f"max_fused must be >= 1, got {max_fused}")
-        if callable(runner) and not hasattr(runner, "run"):
-            runner = _CallableRunner(runner)
-        self._runner: FlushRunner = runner
+        self._flush = flush
         self.max_batch = max_batch
         self.max_latency_s = max_latency_s
-        self.fuse = fuse
-        self.max_fused = max_fused
         self._clock = clock
         self._cv = threading.Condition()
         self._buffers: dict[str, deque[PendingSlice]] = {}
@@ -311,43 +262,17 @@ class MicroBatchScheduler:
         self._inflight[session_id] = len(batch)
         return batch
 
-    def _pop_due_group_locked(
+    def _pop_due_locked(
         self, now: float
-    ) -> list[tuple[str, list[PendingSlice]]]:
-        """The next fused group of due sessions (empty when none due).
-
-        The first due session anchors the group; when fusion is on and
-        its key is not ``None``, every other currently-due session
-        with the same key joins, up to ``max_fused`` members.  Each
-        member contributes exactly the batch it would have flushed
-        alone.
-        """
-        anchor = next(
-            (
-                session_id
-                for session_id in self._buffers
-                if self._due_locked(session_id, now)
-            ),
+    ) -> tuple[str, list[PendingSlice]] | None:
+        """The next due session and its batch (``None`` when none due)."""
+        session_id = next(
+            (sid for sid in self._buffers if self._due_locked(sid, now)),
             None,
         )
-        if anchor is None:
-            return []
-        key = self._runner.fusion_key(anchor) if self.fuse else None
-        peers: list[str] = []
-        if key is not None:
-            for session_id in self._buffers:
-                if len(peers) >= self.max_fused - 1:
-                    break
-                if (
-                    session_id != anchor
-                    and self._due_locked(session_id, now)
-                    and self._runner.fusion_key(session_id) == key
-                ):
-                    peers.append(session_id)
-        return [
-            (session_id, self._take_batch_locked(session_id))
-            for session_id in (anchor, *peers)
-        ]
+        if session_id is None:
+            return None
+        return session_id, self._take_batch_locked(session_id)
 
     def _next_deadline_locked(self, now: float) -> float | None:
         """Seconds until the earliest latency deadline, if any."""
@@ -365,25 +290,24 @@ class MicroBatchScheduler:
     def _worker_loop(self) -> None:
         while True:
             with self._cv:
-                jobs: list[tuple[str, list[PendingSlice]]] = []
-                while not jobs:
+                while True:
                     now = self._clock()
-                    jobs = self._pop_due_group_locked(now)
-                    if jobs:
+                    job = self._pop_due_locked(now)
+                    if job is not None:
                         break
                     if self._closed:
                         return
                     self._cv.wait(self._next_deadline_locked(now))
+            session_id, items = job
             try:
-                self._runner.run(jobs)
+                self._flush(session_id, items)
             except Exception:  # noqa: BLE001 - workers must survive
-                # The manager's runner records per-session failures
+                # The manager's flush records per-session failures
                 # itself; a raise reaching this loop is a bug there,
                 # and must not take the shared dispatch thread down
                 # with it (other sessions still need flushing).
                 pass
             finally:
                 with self._cv:
-                    for session_id, _ in jobs:
-                        self._inflight.pop(session_id, None)
+                    self._inflight.pop(session_id, None)
                     self._cv.notify_all()

@@ -92,7 +92,6 @@ from repro.serving.observability import (
     percentile_from_buckets,
     render_prometheus,
 )
-from repro.serving.pool import WORKER_KINDS
 from repro.serving.store import checkpoint_meta_path
 
 __all__ = [
@@ -110,7 +109,7 @@ _SESSION_PATH = re.compile(r"^/sessions/(?P<sid>[^/]+)(?:/|$)")
 
 #: Derived metric keys recomputed from the summed counters instead of
 #: being summed themselves (a sum of per-shard means is meaningless).
-_DERIVED_METRICS = ("mean_batch_size", "mean_fused_sessions")
+_DERIVED_METRICS = ("mean_batch_size",)
 
 
 class HashRing:
@@ -266,15 +265,6 @@ def aggregate_snapshots(per_shard: dict[str, dict]) -> dict:
     batches = merged.get("batches_flushed", 0)
     merged["mean_batch_size"] = (
         merged.get("slices_flushed", 0) / batches if batches else 0.0
-    )
-    dispatches = merged.get("dispatches", 0)
-    dispatched_flushes = (
-        dispatches
-        - merged.get("fused_dispatches", 0)
-        + merged.get("fused_sessions_flushed", 0)
-    )
-    merged["mean_fused_sessions"] = (
-        dispatched_flushes / dispatches if dispatches else 0.0
     )
     for key in sorted(latency_keys):
         summaries = [
@@ -1871,13 +1861,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=2,
-        help="flush worker lanes per --local-shards backend",
-    )
-    parser.add_argument(
-        "--worker-kind",
-        choices=WORKER_KINDS,
-        default="thread",
-        help="worker tier of --local-shards backends (default thread)",
+        help="flush dispatch threads per --local-shards backend",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
@@ -1931,7 +1915,6 @@ def main(argv: list[str] | None = None) -> int:
             max_batch=args.max_batch,
             max_latency_s=args.max_latency_ms / 1000.0,
             workers=args.workers,
-            worker_kind=args.worker_kind,
         )
         shards = cluster.shard_urls
         weights = None

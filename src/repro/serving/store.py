@@ -221,17 +221,17 @@ class CheckpointStore:
         return target
 
     # ------------------------------------------------------------------
-    # Process-worker handoff
+    # Migration handoff
     # ------------------------------------------------------------------
     def export_state(self, session_id: str) -> bytes:
         """The session's model as versioned checkpoint-format bytes.
 
-        The serving layer's process worker pool ships session state to
-        a worker with this — the same ``_FORMAT_VERSION`` archive the
-        eviction tier spills, so a worker rebuilds the model through
-        the one verified ``Sofia.from_state`` path.  The pin is held
-        only for the serialization itself; the caller is expected to
-        hold the session's lock across the whole flush.
+        Live migration ships session state to another runtime with
+        this — the same ``_FORMAT_VERSION`` archive the eviction tier
+        spills, so the receiver rebuilds the model through the one
+        verified ``Sofia.from_state`` path.  The pin is held only for
+        the serialization itself; the caller is expected to hold the
+        session's lock across the handoff.
         """
         sofia = self.checkout(session_id)
         try:
@@ -240,7 +240,7 @@ class CheckpointStore:
             self.checkin(session_id)
 
     def import_state(self, session_id: str, data: bytes) -> None:
-        """Replace the session's model from worker-returned bytes.
+        """Replace the session's model from exported bytes.
 
         The loaded model becomes the authoritative resident copy
         (most-recently-used; any stale spill file of the session is

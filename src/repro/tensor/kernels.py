@@ -1607,7 +1607,7 @@ def use_backend(name: str):
     *context-local* (a :class:`ContextVar`): concurrent threads can
     each hold their own ``use_backend`` without affecting one another
     or the process default — this is what lets the serving scheduler
-    run sessions pinned to different backends on a shared worker pool.
+    run sessions pinned to different backends on its dispatch threads.
     """
     _check_registered(name)
     token = _BACKEND_OVERRIDES.set(_BACKEND_OVERRIDES.get() + (name,))

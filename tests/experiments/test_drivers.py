@@ -149,6 +149,19 @@ class TestScalabilityDriver:
         assert result.steps_r2 > 0.95
         assert result.total_seconds.shape == (4,)
 
+    def test_times_updates_with_process_cpu_clock(self, monkeypatch):
+        # A fake CPU clock that ticks once per read: every recorded
+        # step then takes exactly one tick, whatever the wall clock or
+        # other processes on the machine do.
+        import time
+
+        ticks = iter(range(10_000))
+        monkeypatch.setattr(time, "process_time", lambda: float(next(ticks)))
+        result = run_scalability(
+            row_sizes=(20, 40), n_cols=10, n_steps=40, period=5, rank=2
+        )
+        np.testing.assert_array_equal(result.total_seconds, [25.0, 25.0])
+
 
 class TestAblationDriver:
     @pytest.fixture(scope="class")

@@ -17,6 +17,7 @@ from repro.exceptions import (
 from repro.serving import HTTPServingClient, SessionManager
 from repro.serving.gateway import main as serve_main
 from repro.serving.gateway import serve
+from repro.serving.shard import start_local_cluster
 
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
 
@@ -193,6 +194,66 @@ class TestHTTPErrors:
         assert envelope["session"] is None
 
 
+def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
+    """POST a raw body; returns (status, decoded JSON reply)."""
+    request = urllib.request.Request(
+        url,
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+class TestNonFiniteLiterals:
+    """``NaN``/``Infinity`` in a body are a 400, not a poisoned model."""
+
+    def _assert_rejected(self, client, base_url, literal):
+        sid = "finite"
+        slices, masks = make_session_stream(seed=23, n_steps=3)
+        for t in range(3):
+            client.ingest(sid, slices[t], masks[t])
+        client.forecast(sid, 1)  # synchronous: drains the session
+        before = client.results(sid)
+        assert [r.seq for r in before] == [0, 1, 2]
+        next_seq = client.session_stats(sid)["next_seq"]
+        values = slices[0].tolist()
+        body = json.dumps({"values": values}).replace(
+            repr(values[0][0]), literal, 1
+        )
+        assert literal in body
+        status, reply = _post_raw(
+            f"{base_url}/sessions/{sid}/slices", body.encode("utf-8")
+        )
+        assert status == 400
+        assert reply["error"]["type"] == "ValueError"
+        assert literal in reply["error"]["message"]
+        assert client.session_stats(sid)["next_seq"] == next_seq
+        after = client.results(sid)
+        assert [r.seq for r in after] == [r.seq for r in before]
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a.completed, b.completed)
+        assert np.isfinite(client.forecast(sid, 2).forecast).all()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_direct(self, live_gateway, checkpoint, literal):
+        client, _ = live_gateway
+        client.create_session("finite", checkpoint=str(checkpoint))
+        self._assert_rejected(client, client._base, literal)
+
+    def test_through_router(self, checkpoint):
+        with start_local_cluster(
+            2, max_batch=1, max_latency_s=10.0
+        ) as fleet:
+            client = HTTPServingClient(fleet.url)
+            client.create_session("finite", checkpoint=str(checkpoint))
+            self._assert_rejected(client, client._base, "NaN")
+
+
 class TestCLI:
     def test_main_help_mentions_knobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -204,9 +265,6 @@ class TestCLI:
             "--max-batch",
             "--max-latency-ms",
             "--workers",
-            "--worker-kind",
-            "--no-fuse-sessions",
-            "--max-fused-sessions",
             "--checkpoint-dir",
         ):
             assert flag in out

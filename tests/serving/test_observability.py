@@ -1,10 +1,10 @@
 """Observability: lifecycle tracing, Prometheus, quality telemetry.
 
 Trace propagation is pinned over every transport the runtime has —
-in-process client, HTTP gateway, the router hop of a 2-shard cluster,
-and the pickled process-pool flush — plus the rendering properties the
-scrape gate relies on: bucket lines sum to the histogram count and
-fleet-merged percentiles reproduce a single combined histogram's.
+in-process client, HTTP gateway, and the router hop of a 2-shard
+cluster — plus the rendering properties the scrape gate relies on:
+bucket lines sum to the histogram count and fleet-merged percentiles
+reproduce a single combined histogram's.
 """
 
 import threading
@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import SessionNotFoundError
+from repro.exceptions import SessionError, SessionNotFoundError
 from repro.serving import (
     TRACE_STAGES,
     HTTPServingClient,
@@ -26,7 +26,9 @@ from repro.serving import (
     render_prometheus,
     start_local_cluster,
 )
+from repro.serving import pool
 from repro.serving.gateway import serve
+from repro.serving.pool import FlushResult
 from repro.serving.shard import aggregate_snapshots
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
 from tools.check_prom import check_exposition
@@ -338,24 +340,70 @@ class TestInProcessTracing:
         traced_manager.drain("prom")
         assert check_exposition(client.prometheus_metrics()) == []
 
+    def test_span_schema(self, traced_manager):
+        client = InProcessServingClient(traced_manager)
+        _feed_session(client, "schema")
+        traced_manager.drain("schema")
+        spans = client.traces(session_id="schema")["traces"]
+        assert spans
+        for span in spans:
+            assert set(span) == {
+                "trace_id",
+                "session_id",
+                "seq",
+                "stages",
+                "queue_seconds",
+                "execute_seconds",
+                "overhead_seconds",
+                "total_seconds",
+                "error",
+            }
+            assert list(span["stages"]) == list(TRACE_STAGES)
 
-class TestProcessPoolTracing:
-    def test_chain_survives_pickle_boundary(self):
-        with SessionManager(
-            max_batch=4,
-            max_latency_s=0.01,
-            workers=2,
-            worker_kind="process",
-            trace_sample_rate=1.0,
-        ) as manager:
-            client = InProcessServingClient(manager)
-            acks = _feed_session(client, "pickled")
-            manager.drain("pickled")
-            spans = client.traces(session_id="pickled")["traces"]
-        _assert_complete_chains(spans, acks)
-        # Dynamic-phase flushes crossed the process boundary as
-        # checkpoint bytes; their trace ids rode the FlushRequest.
-        assert any(s["transport"] == "state" for s in spans)
+    def test_concurrent_sessions_get_complete_chains(self, traced_manager):
+        # Two sessions flush on the two dispatch threads; each slice's
+        # trace id still lands on its own session's span.
+        client = InProcessServingClient(traced_manager)
+        acks = {sid: _feed_session(client, sid) for sid in ("p", "q")}
+        traced_manager.drain()
+        for sid, session_acks in acks.items():
+            spans = client.traces(session_id=sid)["traces"]
+            assert {span["session_id"] for span in spans} == {sid}
+            _assert_complete_chains(spans, session_acks)
+
+    def test_failed_flush_completes_spans_with_error(
+        self, traced_manager, monkeypatch
+    ):
+        client = InProcessServingClient(traced_manager)
+        _feed_session(client, "doomed", n_steps=INIT_STEPS)
+        traced_manager.drain("doomed")
+
+        def failing(requests):
+            return [
+                FlushResult(
+                    session_id=r.session_id,
+                    error="injected crash",
+                    trace_ids=dict(r.trace_ids),
+                )
+                for r in requests
+            ]
+
+        monkeypatch.setattr(pool, "execute_requests", failing)
+        slices, masks = make_session_stream(seed=13, n_steps=4)
+        acks = [
+            client.ingest("doomed", slices[t], masks[t]) for t in range(4)
+        ]
+        traced_manager.drain("doomed")
+        by_seq = {
+            span["seq"]: span
+            for span in client.traces(session_id="doomed")["traces"]
+        }
+        for ack in acks:
+            span = by_seq[ack.seq]
+            assert span["trace_id"] == ack.trace_id
+            assert "injected crash" in span["error"]
+        with pytest.raises(SessionError, match="injected crash"):
+            client.results("doomed")
 
 
 class TestGatewayObservability:

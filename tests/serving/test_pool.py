@@ -1,14 +1,14 @@
-"""The executor seam: worker pools, cross-session fusion, clocks.
+"""Flush execution, failure isolation, and the scheduler's clock.
 
-Pins the tentpole contracts of the pool redesign:
+Pins the contracts of the single executor path:
 
-* per-session trajectories are **bit-identical** across thread pool,
-  process pool, and fusion on/off — the seam changes where and how
-  flushes execute, never what they compute;
-* sessions fuse only on matching ``(shape, rank, dtype, backend)``
-  keys, and one fused member's failure never poisons the others;
+* every flush is one session's batch, executed in-process on a
+  dispatch thread; one session's failing flush never poisons a peer
+  flushing concurrently;
 * all scheduler timing runs on an injectable monotonic clock, pinned
   by a frozen-clock latency test (no wall clocks, no real sleeps).
+
+Served-vs-offline ``step_batch`` identity lives in ``test_manager.py``.
 """
 
 import threading
@@ -17,16 +17,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import Sofia
+from repro.core.serialization import load_sofia
 from repro.exceptions import SessionError
-from repro.serving import SessionManager
-from repro.serving.pool import (
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-    WorkerPool,
-    make_worker_pool,
-)
+from repro.serving import SessionManager, pool
+from repro.tensor import kernels
+from repro.serving.pool import FlushRequest, FlushResult, execute_requests
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
-from repro.serving.worker import FlushResult, execute_requests
 
 from tests.serving.conftest import make_config, make_session_stream
 
@@ -36,281 +33,59 @@ from tests.serving.conftest import make_config, make_session_stream
 DETERMINISTIC = dict(max_batch=4, max_latency_s=60.0)
 
 
-class RecordingPool:
-    """Wraps a pool; records each dispatched group's session ids."""
-
-    def __init__(self, inner: WorkerPool) -> None:
-        self.inner = inner
-        self.kind = inner.kind
-        self.transport = inner.transport
-        self.groups: list[list[str]] = []
-        self._lock = threading.Lock()
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    def execute(self, requests):
-        with self._lock:
-            self.groups.append([r.session_id for r in requests])
-        return self.inner.execute(requests)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class PoisoningPool(RecordingPool):
-    """Replaces one session's results with errors (a 'crashed' flush).
-
-    Armed explicitly so tests control *which* flush fails — a session
-    poisoned mid-warmup would stop fusing (failed sessions have no
-    fusion key) before the group under test ever forms.
-    """
-
-    def __init__(self, inner: WorkerPool, victim: str) -> None:
-        super().__init__(inner)
-        self.victim = victim
-        self.armed = False
-
-    def execute(self, requests):
-        results = super().execute(requests)
-        if not self.armed:
-            return results
-        return [
-            FlushResult(session_id=r.session_id, error="injected crash")
-            if r.session_id == self.victim
-            else r
-            for r in results
-        ]
-
-
-def _run_sessions(manager, configs, n_steps=14, seed=50):
-    """Feed every session the same stream; return per-session results."""
-    streams = {
-        sid: make_session_stream(seed=seed + i, n_steps=n_steps)
-        for i, sid in enumerate(configs)
-    }
-    for sid, config in configs.items():
-        manager.create_session(sid, config)
-    for t in range(n_steps):
-        for sid, (slices, masks) in streams.items():
-            manager.ingest(sid, slices[t], masks[t])
-    manager.drain()
-    return {sid: manager.results(sid) for sid in configs}
-
-
-def _assert_identical(reference, candidate):
-    assert set(reference) == set(candidate)
-    for sid in reference:
-        assert [s for s, _ in reference[sid]] == [
-            s for s, _ in candidate[sid]
-        ]
-        for (_, a), (_, b) in zip(reference[sid], candidate[sid]):
-            np.testing.assert_array_equal(a, b)
-
-
-class TestMakeWorkerPool:
-    def test_kinds(self):
-        pool = make_worker_pool("thread", 3)
-        assert isinstance(pool, ThreadWorkerPool)
-        assert pool.size == 3
-        pool.close()
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown worker kind"):
-            make_worker_pool("gpu", 2)
-
-    def test_bad_worker_count_raises(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_worker_pool("thread", 0)
-
-
-class TestBitIdenticalTrajectories:
-    """The acceptance bar: the seam never changes the numbers."""
-
-    def test_fused_equals_unfused(self):
-        configs = {sid: make_config() for sid in ("a", "b", "c")}
-        with SessionManager(
-            **DETERMINISTIC, fuse_sessions=False
-        ) as manager:
-            unfused = _run_sessions(manager, configs)
-        with SessionManager(
-            **DETERMINISTIC, fuse_sessions=True, workers=1
-        ) as manager:
-            fused = _run_sessions(manager, configs)
-        _assert_identical(unfused, fused)
-
-    def test_process_equals_thread(self):
-        configs = {sid: make_config() for sid in ("a", "b")}
-        with SessionManager(
-            **DETERMINISTIC, worker_kind="thread"
-        ) as manager:
-            thread = _run_sessions(manager, configs)
-        with SessionManager(
-            **DETERMINISTIC, worker_kind="process", workers=2
-        ) as manager:
-            process = _run_sessions(manager, configs)
-        _assert_identical(thread, process)
-
-    def test_forecast_identical_across_pools(self):
-        configs = {"a": make_config()}
-        with SessionManager(
-            **DETERMINISTIC, worker_kind="thread"
-        ) as manager:
-            _run_sessions(manager, configs)
-            thread_forecast = manager.forecast("a", 3)
-        with SessionManager(
-            **DETERMINISTIC, worker_kind="process", workers=1
-        ) as manager:
-            _run_sessions(manager, configs)
-            process_forecast = manager.forecast("a", 3)
-        np.testing.assert_array_equal(thread_forecast, process_forecast)
-
-
-class TestFusionKeys:
-    """Only same-(shape, rank, dtype, backend) sessions share a group."""
-
-    def _grouped_sessions(self, configs, n_steps=14):
-        """Dispatch groups seen while running these sessions together."""
-        pool = RecordingPool(ThreadWorkerPool(workers=1))
-        with SessionManager(
-            **DETERMINISTIC, worker_pool=pool
-        ) as manager:
-            _run_sessions(manager, configs, n_steps=n_steps)
-        return pool.groups
-
-    def test_same_key_sessions_fuse(self):
-        # Two phases: first warm every session up (they initialize
-        # serially, so nothing can fuse yet), then buffer a small
-        # under-batch everywhere and drain — all three become due at
-        # once with identical keys and must share one dispatch.
-        sids = ("a", "b", "c")
-        pool = RecordingPool(ThreadWorkerPool(workers=1))
-        streams = {
-            sid: make_session_stream(seed=50 + i, n_steps=14)
-            for i, sid in enumerate(sids)
-        }
-        with SessionManager(
-            **DETERMINISTIC, worker_pool=pool
-        ) as manager:
-            for sid in sids:
-                manager.create_session(sid, make_config())
-            for t in range(12):
-                for sid, (slices, masks) in streams.items():
-                    manager.ingest(sid, slices[t], masks[t])
-            manager.drain()
-            pool.groups.clear()
-            for t in range(12, 14):
-                for sid, (slices, masks) in streams.items():
-                    manager.ingest(sid, slices[t], masks[t])
-            manager.drain()
-        assert list(sorted(group) for group in pool.groups) == [
-            ["a", "b", "c"]
-        ]
-
-    def test_mixed_ranks_never_fuse(self):
-        groups = self._grouped_sessions(
-            {"a": make_config(), "b": make_config(rank=3)}
-        )
-        assert all(len(group) == 1 for group in groups)
-
-    def test_mixed_dtypes_never_fuse(self):
-        groups = self._grouped_sessions(
-            {"a": make_config(), "b": make_config(dtype="float32")}
-        )
-        assert all(len(group) == 1 for group in groups)
-
-    def test_mixed_shapes_never_fuse(self):
-        pool = RecordingPool(ThreadWorkerPool(workers=1))
-        config = make_config()
-        rng = np.random.default_rng(7)
-        with SessionManager(
-            **DETERMINISTIC, worker_pool=pool
-        ) as manager:
-            manager.create_session("a", config)
-            manager.create_session("b", config)
-            for _ in range(14):
-                manager.ingest("a", rng.normal(size=(5, 4)))
-                manager.ingest("b", rng.normal(size=(4, 5)))
-            manager.drain()
-        assert all(len(group) == 1 for group in pool.groups)
-
-    def test_warming_sessions_never_fuse(self):
-        # 6 slices each < init_steps (8): every dispatch stays solo.
-        groups = self._grouped_sessions(
-            {sid: make_config() for sid in ("a", "b")}, n_steps=6
-        )
-        assert all(len(group) <= 1 for group in groups)
-
-
-class TestFusedFailureIsolation:
-    def test_failing_member_leaves_group_unpoisoned(self):
-        configs = {sid: make_config() for sid in ("bad", "ok1", "ok2")}
-        pool = PoisoningPool(ThreadWorkerPool(workers=1), victim="bad")
-        with SessionManager(
-            **DETERMINISTIC, worker_pool=pool
-        ) as manager:
+class TestFlushFailureIsolation:
+    def test_failing_session_leaves_concurrent_peer_unpoisoned(
+        self, monkeypatch
+    ):
+        sids = ("bad", "ok")
+        with SessionManager(**DETERMINISTIC, workers=2) as manager:
             streams = {
                 sid: make_session_stream(seed=60 + i, n_steps=14)
-                for i, sid in enumerate(configs)
+                for i, sid in enumerate(sids)
             }
-            for sid, config in configs.items():
-                manager.create_session(sid, config)
-            # Warm every session up cleanly (12 slices: warmup + 4).
+            for sid in sids:
+                manager.create_session(sid, make_config())
+            # Warm both sessions up cleanly (12 slices: warmup + 4).
             for t in range(12):
                 for sid, (slices, masks) in streams.items():
                     manager.ingest(sid, slices[t], masks[t])
             manager.drain()
-            # Now arm the poison and buffer 2 slices per session —
-            # under max_batch, so nothing is due until the drain makes
-            # all three due at once and the single dispatch thread
-            # pops them as one fused group including the victim.
-            pool.armed = True
-            pool.groups.clear()
+
+            # Now poison "bad" and buffer 2 slices per session — under
+            # max_batch, so nothing is due until the drain makes both
+            # due at once.  The barrier holds each flush until the
+            # other one is in flight too: the two dispatch threads run
+            # the sessions concurrently, one flush per session.
+            real = pool.execute_requests
+            both_in_flight = threading.Barrier(2, timeout=10.0)
+            flushed: list[list[str]] = []
+
+            def poisoning(requests):
+                flushed.append([r.session_id for r in requests])
+                both_in_flight.wait()
+                results = real(requests)
+                return [
+                    FlushResult(session_id=r.session_id, error="injected crash")
+                    if r.session_id == "bad"
+                    else r
+                    for r in results
+                ]
+
+            monkeypatch.setattr(pool, "execute_requests", poisoning)
             for t in range(12, 14):
                 for sid, (slices, masks) in streams.items():
                     manager.ingest(sid, slices[t], masks[t])
             manager.drain()
-            assert any(
-                len(group) > 1 and "bad" in group
-                for group in pool.groups
-            )
+            monkeypatch.undo()
+
+            assert sorted(flushed) == [["bad"], ["ok"]]
+            assert not both_in_flight.broken
             with pytest.raises(SessionError, match="injected crash"):
                 manager.results("bad")
-            for sid in ("ok1", "ok2"):
-                results = manager.results(sid)
-                assert [s for s, _ in results][-1] == 13
-                forecast = manager.forecast(sid, 2)
-                assert np.isfinite(forecast).all()
-            assert manager.metrics.snapshot()["flush_failures"] >= 1
-
-
-class TestProcessPoolRecovery:
-    def test_worker_death_poisons_only_inflight_sessions(self):
-        config = make_config()
-        slices, masks = make_session_stream(seed=70, n_steps=14)
-        with SessionManager(
-            **DETERMINISTIC, worker_kind="process", workers=1
-        ) as manager:
-            manager.create_session("a", config)
-            for t in range(14):
-                manager.ingest("a", slices[t], masks[t])
-            manager.drain()
-            # Kill the lane under the pool; the next flush must come
-            # back as an error result, not a hang or a crash.
-            lane = manager.worker_pool._idle.queue[0]
-            lane.process.terminate()
-            lane.process.join(5)
-            manager.ingest("a", slices[0], masks[0])
-            manager.drain()
-            with pytest.raises(SessionError, match="worker process died"):
-                manager.results("a")
-            # The pool respawned its lane: new sessions still serve.
-            manager.create_session("b", config)
-            for t in range(14):
-                manager.ingest("b", slices[t], masks[t])
-            manager.drain()
-            assert len(manager.results("b")) == 14
+            results = manager.results("ok")
+            assert [s for s, _ in results][-1] == 13
+            assert np.isfinite(manager.forecast("ok", 2)).all()
+            assert manager.metrics.snapshot()["flush_failures"] == 1
 
 
 class FrozenClock:
@@ -401,17 +176,14 @@ class TestMonotonicClock:
 
 class TestWorkerExecution:
     def test_execute_requests_isolates_failures(self):
-        from repro.serving.worker import FlushRequest
-
         good = FlushRequest(
             session_id="ok",
             config=make_config(),
-            state=None,
             model=None,
         )
         results = execute_requests([good])
         assert results[0].session_id == "ok"
-        # No model, no state, no warmup: stepping is impossible and
+        # No model, no warmup: stepping is impossible and
         # must come back as an error result, never a raise.
         bad = FlushRequest(
             session_id="broken",
@@ -424,3 +196,233 @@ class TestWorkerExecution:
         assert ok.error is None
         assert err.error is not None
         assert err.session_id == "broken"
+
+
+def _step_request(model, slices, masks, seqs, **kwargs) -> FlushRequest:
+    return FlushRequest(
+        session_id="s",
+        config=model.config,
+        model=model,
+        step_seqs=list(seqs),
+        step_ys=np.stack(slices),
+        step_masks=np.stack(masks),
+        **kwargs,
+    )
+
+
+class TestExecuteRequest:
+    def test_step_request_matches_offline_step_batch(self, checkpoint):
+        slices, masks = make_session_stream(seed=31, n_steps=4)
+        offline = load_sofia(checkpoint)
+        want = offline.step_batch(np.stack(slices), np.stack(masks))
+
+        model = load_sofia(checkpoint)
+        (result,) = execute_requests(
+            [_step_request(model, slices, masks, range(20, 24))]
+        )
+        assert result.error is None
+        assert result.model is model
+        assert result.consumed == 4
+        assert [seq for seq, _ in result.results] == [20, 21, 22, 23]
+        for (_, got), step in zip(result.results, want):
+            np.testing.assert_array_equal(got, step.completed)
+        np.testing.assert_array_equal(
+            result.model.forecast(3), offline.forecast(3)
+        )
+
+    def test_warmup_request_initializes_then_steps(self):
+        config = make_config()
+        n_init = config.init_steps
+        slices, masks = make_session_stream(seed=32, n_steps=n_init + 2)
+        offline = Sofia(config)
+        want = list(offline.initialize(slices[:n_init], masks[:n_init]))
+        want += [
+            step.completed
+            for step in offline.step_batch(
+                np.stack(slices[n_init:]), np.stack(masks[n_init:])
+            )
+        ]
+
+        request = FlushRequest(
+            session_id="s",
+            config=config,
+            warmup_seqs=list(range(n_init)),
+            warmup_ys=np.stack(slices[:n_init]),
+            warmup_masks=np.stack(masks[:n_init]),
+            step_seqs=[n_init, n_init + 1],
+            step_ys=np.stack(slices[n_init:]),
+            step_masks=np.stack(masks[n_init:]),
+        )
+        (result,) = execute_requests([request])
+        assert result.error is None
+        assert result.consumed == n_init + 2
+        assert [seq for seq, _ in result.results] == list(range(n_init + 2))
+        for (_, got), expected in zip(result.results, want):
+            np.testing.assert_array_equal(got, expected)
+        # Only dynamic-phase slices carry quality aggregates.
+        assert [q[0] for q in result.quality] == [n_init, n_init + 1]
+
+    def test_quality_aggregates_one_tuple_per_step(self, checkpoint):
+        slices, masks = make_session_stream(seed=33, n_steps=3)
+        model = load_sofia(checkpoint)
+        (result,) = execute_requests(
+            [_step_request(model, slices, masks, (5, 6, 7))]
+        )
+        assert [q[0] for q in result.quality] == [5, 6, 7]
+        for (_, observed, residual_ss, signal_ss, outliers), mask in zip(
+            result.quality, masks
+        ):
+            assert observed == int(mask.sum())
+            assert residual_ss >= 0.0
+            assert signal_ss > 0.0
+            assert 0 <= outliers <= mask.size
+        assert np.isfinite(result.error_scale)
+        assert result.error_scale > 0.0
+
+    def test_failed_request_echoes_trace_ids_and_drops_state(self):
+        request = FlushRequest(
+            session_id="broken",
+            config=make_config(),
+            step_seqs=[3],
+            step_ys=np.zeros((1, 5, 4)),
+            step_masks=np.ones((1, 5, 4), dtype=bool),
+            trace_ids={3: "trace-3"},
+        )
+        (result,) = execute_requests([request])
+        assert result.error is not None
+        assert result.model is None
+        assert result.results == []
+        assert result.consumed == 0
+        assert result.quality == []
+        assert result.trace_ids == {3: "trace-3"}
+        assert result.trace_ids is not request.trace_ids
+        assert result.seconds >= 0.0
+
+    def test_kernel_backend_is_scoped_to_the_request(self, checkpoint):
+        slices, masks = make_session_stream(seed=34, n_steps=2)
+        model = load_sofia(checkpoint)
+        before = kernels.active_backend().name
+        pinned = next(
+            name for name in kernels.available_backends() if name != before
+        )
+        seen: list[str] = []
+        real_step_batch = model.step_batch
+
+        def recording(*args, **kwargs):
+            seen.append(kernels.active_backend().name)
+            return real_step_batch(*args, **kwargs)
+
+        model.step_batch = recording
+        (result,) = execute_requests(
+            [
+                _step_request(
+                    model, slices, masks, (0, 1), kernel_backend=pinned
+                )
+            ]
+        )
+        assert result.error is None
+        assert seen == [pinned]
+        assert kernels.active_backend().name == before
+
+    def test_unknown_kernel_backend_becomes_error_result(self, checkpoint):
+        slices, masks = make_session_stream(seed=35, n_steps=2)
+        before = kernels.active_backend().name
+        (result,) = execute_requests(
+            [
+                _step_request(
+                    load_sofia(checkpoint),
+                    slices,
+                    masks,
+                    (0, 1),
+                    kernel_backend="no-such-backend",
+                )
+            ]
+        )
+        assert "no-such-backend" in result.error
+        assert result.model is None
+        assert kernels.active_backend().name == before
+
+
+def _record_flushes(monkeypatch) -> list[tuple[str, list[str]]]:
+    """Wrap ``pool.execute_requests``; log (thread name, session ids)."""
+    real = pool.execute_requests
+    lock = threading.Lock()
+    calls: list[tuple[str, list[str]]] = []
+
+    def recording(requests):
+        with lock:
+            calls.append(
+                (
+                    threading.current_thread().name,
+                    [r.session_id for r in requests],
+                )
+            )
+        return real(requests)
+
+    monkeypatch.setattr(pool, "execute_requests", recording)
+    return calls
+
+
+def _ingest_fleet(manager, sids, n_steps, seed):
+    streams = {
+        sid: make_session_stream(seed=seed + i, n_steps=n_steps)
+        for i, sid in enumerate(sids)
+    }
+    for sid in sids:
+        manager.create_session(sid, make_config())
+    for t in range(n_steps):
+        for sid, (slices, masks) in streams.items():
+            manager.ingest(sid, slices[t], masks[t])
+    manager.drain()
+
+
+class TestSingleSessionDispatch:
+    def test_every_flush_carries_exactly_one_session(self, monkeypatch):
+        sids = [f"s{i}" for i in range(4)]
+        with SessionManager(**DETERMINISTIC, workers=3) as manager:
+            calls = _record_flushes(monkeypatch)
+            _ingest_fleet(manager, sids, n_steps=16, seed=40)
+            snapshot = manager.metrics.snapshot()
+        assert calls
+        assert all(len(session_ids) == 1 for _, session_ids in calls)
+        assert {sid for _, (sid,) in calls} == set(sids)
+        # One dispatch per executed request, each a single session.
+        assert snapshot["dispatches"] == len(calls)
+
+    def test_flushes_run_on_named_dispatch_threads(self, monkeypatch):
+        with SessionManager(**DETERMINISTIC, workers=2) as manager:
+            calls = _record_flushes(monkeypatch)
+            _ingest_fleet(manager, ["a", "b"], n_steps=12, seed=50)
+        assert calls
+        caller = threading.current_thread().name
+        for thread_name, _ in calls:
+            assert thread_name.startswith("repro-serve-flush-")
+            assert thread_name != caller
+
+    def test_durable_persist_runs_under_the_session_lock(self):
+        with SessionManager(
+            **DETERMINISTIC, workers=2, durable=True
+        ) as manager:
+            held: list[bool] = []
+            real_persist = manager._persist_session_locked
+
+            def checking(session):
+                # RLock.acquire(blocking=False) from another thread
+                # fails while the persisting thread holds the lock.
+                probe: list[bool] = []
+                thread = threading.Thread(
+                    target=lambda: probe.append(
+                        session.lock.acquire(blocking=False)
+                    )
+                )
+                thread.start()
+                thread.join()
+                if probe[0]:
+                    session.lock.release()
+                held.append(not probe[0])
+                real_persist(session)
+
+            manager._persist_session_locked = checking
+            _ingest_fleet(manager, ["d"], n_steps=12, seed=60)
+        assert held
+        assert all(held)

@@ -143,6 +143,44 @@ class TestOrderingAndIsolation:
             scheduler.drain("b")
             assert recorder.seqs("b") == [0, 1, 2]
 
+    def test_each_flush_is_one_sessions_batch(self):
+        # Many sessions due at once: every runner call still receives
+        # exactly one session's slices, in that session's order.  Each
+        # slice carries its owner's index in its payload.
+        calls: list[tuple[int, list[int], list[int]]] = []
+        lock = threading.Lock()
+
+        def flush(session_id, items):
+            with lock:
+                calls.append(
+                    (
+                        int(session_id[1:]),
+                        [int(item.subtensor[0]) for item in items],
+                        [item.seq for item in items],
+                    )
+                )
+
+        sids = [f"s{i}" for i in range(6)]
+        with MicroBatchScheduler(
+            flush, max_batch=3, max_latency_s=60.0, workers=3
+        ) as scheduler:
+            for seq in range(6):
+                for index, sid in enumerate(sids):
+                    scheduler.submit(
+                        sid,
+                        PendingSlice(
+                            seq=seq,
+                            subtensor=np.asarray([index], dtype=float),
+                            mask=np.asarray([True]),
+                            arrived_at=time.monotonic(),
+                        ),
+                    )
+            scheduler.drain_all()
+        assert len(calls) == 2 * len(sids)
+        for index, owners, seqs in calls:
+            assert owners == [index] * 3
+            assert seqs in ([0, 1, 2], [3, 4, 5])
+
 
 class TestLifecycle:
     def test_concurrent_drains_of_one_session_both_complete(self):
