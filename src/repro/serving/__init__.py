@@ -7,8 +7,9 @@ whose dispatch threads flush each session's buffered slices through
 one in-process ``Sofia.step_batch`` call, an LRU
 :class:`~repro.serving.store.CheckpointStore` that spills cold
 sessions to disk and rehydrates them transparently, and a stdlib-only
-JSON/HTTP gateway (``repro-serve``, versioned under ``/v1``) with
-in-process and HTTP clients behind one typed
+HTTP gateway (``repro-serve``, versioned under ``/v1``; JSON, with
+data-plane arrays as binary NPY records from :mod:`repro.serving.wire`)
+with in-process and HTTP clients behind one typed
 :class:`~repro.serving.api.ServingClient` protocol.
 
 Quickstart (in-process)::

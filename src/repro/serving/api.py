@@ -6,10 +6,7 @@ against the protocol runs unchanged over either transport (the
 conformance suite in ``tests/serving`` pins exactly that).
 
 Result types carry everything a caller might branch on as named
-fields.  :class:`ImputeResult` and :class:`ForecastResult` already
-reserve ``lower``/``upper`` for prediction intervals: the runtime does
-not compute intervals yet, so both are ``None`` today, but the wire
-format and the dataclasses will not need to change when it does.
+fields.
 
 Migration shims
 ---------------
@@ -136,16 +133,10 @@ class SliceResult(_FieldAccessMixin):
 
 @dataclass(frozen=True)
 class ImputeResult(_FieldAccessMixin):
-    """A synchronous imputation: the slice with missing entries filled.
-
-    ``lower``/``upper`` are reserved for prediction intervals and are
-    ``None`` until the runtime computes them.
-    """
+    """A synchronous imputation: the slice with missing entries filled."""
 
     session_id: str
     completed: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __array__(self, dtype=None, copy=None):
         _deprecated(
@@ -160,15 +151,11 @@ class ForecastResult(_FieldAccessMixin):
     """A ``horizon``-step forecast, oldest step first.
 
     ``forecast`` has shape ``(horizon, *subtensor_shape)``.
-    ``lower``/``upper`` are reserved for prediction intervals and are
-    ``None`` until the runtime computes them.
     """
 
     session_id: str
     horizon: int
     forecast: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __array__(self, dtype=None, copy=None):
         _deprecated(

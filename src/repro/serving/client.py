@@ -8,9 +8,10 @@ live gateway without changing code:
 * :class:`InProcessServingClient` wraps a manager directly — zero
   serialization, the right tool for tests and embedded use;
 * :class:`HTTPServingClient` talks to a ``repro-serve`` gateway's
-  ``/v1`` surface with :mod:`urllib` (stdlib only), mapping the JSON
-  error envelope back onto the same :mod:`repro.exceptions` types the
-  server raised.
+  ``/v1`` surface with :mod:`urllib` (stdlib only), sending and
+  asking for data-plane arrays as binary NPY records
+  (:mod:`repro.serving.wire`) and mapping the JSON error envelope back
+  onto the same :mod:`repro.exceptions` types the server raised.
 
 Arrays come back as :class:`numpy.ndarray` fields from both.
 """
@@ -33,6 +34,7 @@ from repro.exceptions import (
     SessionNotFoundError,
     ShapeError,
 )
+from repro.serving import wire
 from repro.serving.api import (
     ForecastResult,
     ImputeResult,
@@ -48,16 +50,6 @@ __all__ = [
     "InProcessServingClient",
     "ServingClient",
 ]
-
-
-def _mask_payload(mask) -> list | None:
-    if mask is None:
-        return None
-    return np.asarray(mask).astype(bool).tolist()
-
-
-def _optional_array(values) -> np.ndarray | None:
-    return None if values is None else np.asarray(values)
 
 
 class InProcessServingClient:
@@ -217,22 +209,10 @@ class HTTPServingClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        *,
-        extra_headers: dict[str, str] | None = None,
-        raw: bool = False,
-    ):
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        if extra_headers:
-            headers.update(extra_headers)
+    def _call(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[str, bytes]:
+        """One round trip, redirects followed: (Content-Type, body)."""
         url = self._base + path
         for _ in range(self._max_redirects + 1):
             request = urllib.request.Request(
@@ -242,8 +222,8 @@ class HTTPServingClient:
                 with urllib.request.urlopen(
                     request, timeout=self._timeout
                 ) as response:
-                    text = response.read().decode("utf-8")
-                    return text if raw else json.loads(text)
+                    content_type = response.headers.get("Content-Type")
+                    return content_type or "", response.read()
             except urllib.error.HTTPError as exc:
                 # urllib's own redirect handler refuses to re-send a
                 # body on 307/308, so sharded placement redirects land
@@ -259,6 +239,56 @@ class HTTPServingClient:
             f"{method} {path}: more than {self._max_redirects} "
             "redirects; the gateway topology is looping"
         )
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: dict | None = None,
+        *,
+        extra_headers: dict[str, str] | None = None,
+        raw: bool = False,
+    ):
+        """A control-plane call: JSON out, JSON (or text) back."""
+        body = None
+        headers = {"Accept": "application/json"}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        if extra_headers:
+            headers.update(extra_headers)
+        _, data = self._call(method, path, body, headers)
+        text = data.decode("utf-8")
+        return text if raw else json.loads(text)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        reply,
+        values=None,
+        mask=None,
+        *,
+        extra_headers: dict[str, str] | None = None,
+    ) -> dict:
+        """A data-plane call: arrays travel as binary NPY records.
+
+        A slice (``values`` and optional ``mask``) goes out in the
+        :data:`wire.SLICE` layout.  The reply is decoded by its
+        ``Content-Type``: binary in the ``reply`` layout, or JSON for
+        the ingest ack, which carries no array.
+        """
+        body = None
+        headers = {"Accept": f"{wire.MEDIA_TYPE}, application/json"}
+        if values is not None:
+            body = wire.encode(wire.SLICE, values, mask)
+            headers["Content-Type"] = wire.MEDIA_TYPE
+        if extra_headers:
+            headers.update(extra_headers)
+        content_type, data = self._call(method, path, body, headers)
+        if wire.names_binary(content_type):
+            return wire.decode(data, reply)
+        return json.loads(data.decode("utf-8"))
 
     @staticmethod
     def _map_error(exc: urllib.error.HTTPError) -> Exception:
@@ -306,17 +336,16 @@ class HTTPServingClient:
         *,
         trace_id: str | None = None,
     ) -> IngestAck:
-        payload = {"values": np.asarray(values).tolist()}
-        if mask is not None:
-            payload["mask"] = _mask_payload(mask)
         # A caller-supplied trace id travels as the trace header (the
         # router propagates it to the owning shard); the ack echoes
         # back whichever id the gateway ended up tracing under.
         extra = {TRACE_HEADER: trace_id} if trace_id else None
-        response = self._request(
+        response = self._exchange(
             "POST",
             f"/sessions/{session_id}/slices",
-            payload,
+            (),
+            values,
+            mask,
             extra_headers=extra,
         )
         return IngestAck(
@@ -328,42 +357,42 @@ class HTTPServingClient:
     def results(
         self, session_id: str, since: int = 0
     ) -> list[SliceResult]:
-        response = self._request(
-            "GET", f"/sessions/{session_id}/results?since={since}"
+        response = self._exchange(
+            "GET",
+            f"/sessions/{session_id}/results?since={since}",
+            wire.RESULTS,
         )
         return [
             SliceResult(
-                session_id=session_id,
-                seq=int(entry["seq"]),
-                completed=np.asarray(entry["completed"]),
+                session_id=session_id, seq=int(seq), completed=completed
             )
-            for entry in response["results"]
+            for seq, completed in zip(
+                response["seq"].tolist(), response["completed"]
+            )
         ]
 
     def impute(self, session_id: str, values, mask=None) -> ImputeResult:
-        payload = {"values": np.asarray(values).tolist()}
-        if mask is not None:
-            payload["mask"] = _mask_payload(mask)
-        response = self._request(
-            "POST", f"/sessions/{session_id}/impute", payload
+        response = self._exchange(
+            "POST",
+            f"/sessions/{session_id}/impute",
+            wire.COMPLETED,
+            values,
+            mask,
         )
         return ImputeResult(
             session_id=session_id,
-            completed=np.asarray(response["completed"]),
-            lower=_optional_array(response.get("lower")),
-            upper=_optional_array(response.get("upper")),
+            completed=response["completed"],
         )
 
     def forecast(self, session_id: str, horizon: int) -> ForecastResult:
-        response = self._request(
-            "GET", f"/sessions/{session_id}/forecast?horizon={horizon}"
+        response = self._exchange(
+            "GET",
+            f"/sessions/{session_id}/forecast?horizon={horizon}",
+            wire.FORECAST,
         )
+        forecast = response["forecast"]
         return ForecastResult(
-            session_id=session_id,
-            horizon=int(response["horizon"]),
-            forecast=np.asarray(response["forecast"]),
-            lower=_optional_array(response.get("lower")),
-            upper=_optional_array(response.get("upper")),
+            session_id=session_id, horizon=len(forecast), forecast=forecast
         )
 
     def session_info(self, session_id: str) -> dict:

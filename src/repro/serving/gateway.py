@@ -1,4 +1,4 @@
-"""Stdlib JSON/HTTP gateway in front of a :class:`SessionManager`.
+"""Stdlib HTTP gateway in front of a :class:`SessionManager`.
 
 A :class:`~http.server.ThreadingHTTPServer` (one thread per connection,
 no third-party dependencies) exposing the serving runtime under a
@@ -38,10 +38,14 @@ returns its versioned checkpoint bytes (base64 in JSON) plus sequence
 bookkeeping; import adopts that state on another gateway, ready to
 step, with sequence numbering continuing where the source left off.
 
-Arrays travel as (nested) JSON lists; ``impute`` and ``forecast``
-responses carry ``lower``/``upper`` fields (``null`` until the runtime
-computes prediction intervals) so the wire format is interval-ready.
-The pre-versioning paths (``/sessions`` etc.) answer ``308 Permanent
+Data-plane arrays travel in one of two formats, chosen per request:
+a body with ``Content-Type: application/octet-stream`` holds binary
+NPY records (:mod:`repro.serving.wire` has the layouts), any other
+body is JSON with nested float lists; a reply is binary when the
+request's ``Accept`` names ``application/octet-stream``.  Everything
+else — sessions, acks, stats, metrics, traces, errors, export/import —
+is JSON only.  Ingested and imputed values must be finite in either
+format.  The pre-versioning paths (``/sessions`` etc.) answer ``308 Permanent
 Redirect`` to their ``/v1`` equivalents for one release.
 
 Every error is a uniform JSON envelope::
@@ -53,7 +57,7 @@ Every error is a uniform JSON envelope::
 with ``session`` null when the failing request named none.  Types map
 onto status codes: unknown session 404, duplicate session or
 session-state conflicts (warming up, failed) 409, bad
-configs/shapes/JSON 400, everything else 500.
+configs/shapes/bodies 400, everything else 500.
 
 ``main`` is the ``repro-serve`` console entry point::
 
@@ -82,6 +86,7 @@ from repro.exceptions import (
     SessionNotFoundError,
     ShapeError,
 )
+from repro.serving import wire
 from repro.serving.manager import SessionManager
 from repro.serving.observability import TRACE_HEADER, render_prometheus
 
@@ -146,7 +151,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_body(body, status, "application/json")
 
     def _send_text(self, text: str, status: int = 200) -> None:
-        """Prometheus text exposition (the one non-JSON response)."""
+        """Prometheus text exposition."""
         self._send_body(
             text.encode("utf-8"), status, PROMETHEUS_CONTENT_TYPE
         )
@@ -188,9 +193,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _binary_body(self) -> bool:
+        return wire.names_binary(self.headers.get("Content-Type"))
+
+    def _wants_binary(self) -> bool:
+        return wire.names_binary(self.headers.get("Accept"))
+
+    def _read_json(self) -> dict:
+        # Read the body before any refusal, so a kept-alive connection
+        # stays in step with the next request.
+        raw = self._read_body()
+        if self._binary_body():
+            raise ValueError(
+                f"this endpoint takes a JSON body, not {wire.MEDIA_TYPE}"
+            )
         if not raw:
             return {}
         try:
@@ -202,6 +222,33 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
+
+    def _read_slice(self) -> tuple[np.ndarray, object]:
+        """``(values, mask)`` of an ingest or impute body, either format.
+
+        One non-finite value (an overflowing literal such as ``1e999``,
+        or NaN bits in a binary body) would poison the session's model
+        for good, so it is a 400 before the manager sees the slice.
+        """
+        if self._binary_body():
+            arrays = wire.decode(self._read_body(), wire.SLICE)
+            values, mask = arrays["values"], arrays.get("mask")
+        else:
+            payload = self._read_json()
+            mask = payload.get("mask")
+            try:
+                values = np.asarray(payload["values"], dtype=np.float64)
+            except (TypeError, OverflowError) as exc:
+                # A non-number entry, or an integer beyond float64.
+                raise ValueError(
+                    f"'values' must be finite numbers: {exc}"
+                ) from None
+        if not np.isfinite(values).all():
+            raise ValueError("'values' must be finite (no NaN or infinity)")
+        return values, mask
+
+    def _send_arrays(self, layout, *arrays) -> None:
+        self._send_body(wire.encode(layout, *arrays), 200, wire.MEDIA_TYPE)
 
     @staticmethod
     def _session_of(path: str) -> str | None:
@@ -312,11 +359,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(manager.session_stats(sid))
             return True
         if tail == "/slices" and method == "POST":
-            payload = self._read_json()
+            values, mask = self._read_slice()
             seq, trace = manager.ingest_traced(
                 sid,
-                payload["values"],
-                payload.get("mask"),
+                values,
+                mask,
                 # A caller-supplied id (propagated by the router from
                 # its own ingress) always traces; otherwise the
                 # manager's sample rate decides.
@@ -330,6 +377,15 @@ class _Handler(BaseHTTPRequestHandler):
         if tail == "/results" and method == "GET":
             since = int(query.get("since", ["0"])[0])
             results = manager.results(sid, since_seq=since)
+            if self._wants_binary():
+                self._send_arrays(
+                    wire.RESULTS,
+                    [seq for seq, _ in results],
+                    np.stack([completed for _, completed in results])
+                    if results
+                    else np.empty(0),
+                )
+                return True
             self._send_json(
                 {
                     "session_id": sid,
@@ -341,18 +397,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return True
         if tail == "/impute" and method == "POST":
-            payload = self._read_json()
-            completed = manager.impute(
-                sid, payload["values"], payload.get("mask")
-            )
-            self._send_json(
-                {
-                    "session_id": sid,
-                    "completed": completed.tolist(),
-                    "lower": None,
-                    "upper": None,
-                }
-            )
+            values, mask = self._read_slice()
+            completed = manager.impute(sid, values, mask)
+            if self._wants_binary():
+                self._send_arrays(wire.COMPLETED, completed)
+            else:
+                self._send_json(
+                    {"session_id": sid, "completed": completed.tolist()}
+                )
             return True
         if tail == "/export" and method == "POST":
             exported = manager.export_session(sid)
@@ -396,15 +448,16 @@ class _Handler(BaseHTTPRequestHandler):
         if tail == "/forecast" and method == "GET":
             horizon = int(query.get("horizon", ["1"])[0])
             forecast = manager.forecast(sid, horizon)
-            self._send_json(
-                {
-                    "session_id": sid,
-                    "horizon": horizon,
-                    "forecast": np.asarray(forecast).tolist(),
-                    "lower": None,
-                    "upper": None,
-                }
-            )
+            if self._wants_binary():
+                self._send_arrays(wire.FORECAST, forecast)
+            else:
+                self._send_json(
+                    {
+                        "session_id": sid,
+                        "horizon": horizon,
+                        "forecast": np.asarray(forecast).tolist(),
+                    }
+                )
             return True
         return False
 
@@ -455,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     """``repro-serve``: run the multi-session SOFIA serving gateway."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve concurrent SOFIA sessions over JSON/HTTP "
+        description="Serve concurrent SOFIA sessions over HTTP "
         "with micro-batched ingestion and checkpoint-backed eviction.",
     )
     parser.add_argument("--host", default="127.0.0.1")

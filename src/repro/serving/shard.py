@@ -107,6 +107,8 @@ __all__ = [
 
 _SESSION_PATH = re.compile(r"^/sessions/(?P<sid>[^/]+)(?:/|$)")
 
+_JSON = "application/json"
+
 #: Derived metric keys recomputed from the summed counters instead of
 #: being summed themselves (a sum of per-shard means is meaningless).
 _DERIVED_METRICS = ("mean_batch_size",)
@@ -468,6 +470,20 @@ class _RouterHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         return self.rfile.read(length) if length else b""
 
+    def _relayed_headers(self) -> dict[str, str]:
+        """The caller's headers the owning shard must see.
+
+        ``Content-Type`` and ``Accept`` carry the data-plane format
+        negotiation (the router never parses those bodies); a
+        client-supplied trace id survives the hop, so one id names
+        the slice's whole lifecycle fleet-wide.
+        """
+        return {
+            name: self.headers[name]
+            for name in ("Content-Type", "Accept", TRACE_HEADER)
+            if self.headers.get(name)
+        }
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -535,12 +551,17 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 session_id = router.session_id_of(body)
                 with router.session_lock(session_id):
                     shard = router.place_new(session_id)
-                    status, payload = router.forward(
-                        shard, method, path, body=body, query=query
+                    status, payload, content_type = router.forward(
+                        shard,
+                        method,
+                        path,
+                        body=body,
+                        query=query,
+                        headers=self._relayed_headers(),
                     )
                     if status < 400:
                         router.note_session_created(session_id, shard)
-                self._send(status, payload)
+                self._send(status, payload, content_type)
                 return
         match = _SESSION_PATH.match(path)
         if match:
@@ -550,19 +571,15 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     router.migrate(session_id, body)
                 )
                 return
-            # A client-supplied trace id survives the router hop, so
-            # one id names the slice's whole lifecycle fleet-wide.
-            trace_id = self.headers.get(TRACE_HEADER)
-            headers = {TRACE_HEADER: trace_id} if trace_id else None
             with router.session_lock(session_id):
                 shard = router.placement(session_id)
-                status, payload = router.forward(
+                status, payload, content_type = router.forward(
                     shard,
                     method,
                     path,
                     body=body,
                     query=query,
-                    headers=headers,
+                    headers=self._relayed_headers(),
                 )
                 if method == "DELETE" and status < 400:
                     router.forget_placement(session_id)
@@ -571,7 +588,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                         router.note_session_created(session_id, shard)
                     if path.endswith(("/slices", "/import")):
                         router.note_ingest(session_id, payload)
-            self._send(status, payload)
+            self._send(status, payload, content_type)
             return
         self._send(
             404,
@@ -904,8 +921,12 @@ class ShardRouterServer(ThreadingHTTPServer):
         body: bytes = b"",
         query: str = "",
         headers: dict | None = None,
-    ) -> tuple[int, bytes]:
-        """One request to one shard; (status, body) relayed verbatim.
+    ) -> tuple[int, bytes, str]:
+        """One request to one shard; (status, body, Content-Type).
+
+        The three are relayed verbatim.  ``headers`` override the JSON
+        ``Content-Type`` and ``Accept`` sent by default, which is how
+        a caller's binary data-plane body and reply pass through.
 
         Upstream error envelopes pass through untouched — the typed
         client re-raises the same exception types it would against the
@@ -929,8 +950,8 @@ class ShardRouterServer(ThreadingHTTPServer):
                 with self._state_lock:
                     self._retried += 1
             request_headers = {
-                "Accept": "application/json",
-                "Content-Type": "application/json",
+                "Accept": _JSON,
+                "Content-Type": _JSON,
             }
             if headers:
                 request_headers.update(headers)
@@ -944,25 +965,37 @@ class ShardRouterServer(ThreadingHTTPServer):
                 with urllib.request.urlopen(
                     request, timeout=self.proxy_timeout
                 ) as response:
-                    return response.status, response.read()
+                    return (
+                        response.status,
+                        response.read(),
+                        response.headers.get("Content-Type", _JSON),
+                    )
             except urllib.error.HTTPError as exc:
                 data = exc.read()
                 exc.close()
-                return exc.code, data
+                return (
+                    exc.code,
+                    data,
+                    exc.headers.get("Content-Type", _JSON),
+                )
             except (urllib.error.URLError, OSError) as exc:
                 last_exc = exc
         match = _SESSION_PATH.match(path)
-        return 502, _error_body(
-            "SessionError",
-            f"shard {shard} unreachable: {last_exc}",
-            match.group("sid") if match else None,
+        return (
+            502,
+            _error_body(
+                "SessionError",
+                f"shard {shard} unreachable: {last_exc}",
+                match.group("sid") if match else None,
+            ),
+            _JSON,
         )
 
     def _forward_ok(
         self, shard: str, method: str, path: str, *, body: bytes = b""
     ) -> dict:
         """Forward and parse, raising :class:`_ShardReply` on >= 400."""
-        status, payload = self.forward(shard, method, path, body=body)
+        status, payload, _ = self.forward(shard, method, path, body=body)
         if status >= 400:
             raise _ShardReply(status, payload)
         return json.loads(payload.decode("utf-8"))
@@ -976,7 +1009,7 @@ class ShardRouterServer(ThreadingHTTPServer):
         healthy = True
         sessions = 0
         for shard in self.ring.shards:
-            status, payload = self.forward(shard, "GET", "/healthz")
+            status, payload, _ = self.forward(shard, "GET", "/healthz")
             try:
                 health = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -1001,7 +1034,7 @@ class ShardRouterServer(ThreadingHTTPServer):
         """
         per_shard: dict[str, dict | None] = {}
         for shard in self.ring.shards:
-            status, payload = self.forward(shard, "GET", "/metrics")
+            status, payload, _ = self.forward(shard, "GET", "/metrics")
             snapshot = None
             if status < 400:
                 try:
@@ -1063,7 +1096,7 @@ class ShardRouterServer(ThreadingHTTPServer):
         ids: set[str] = set()
         stats: dict[str, dict] = {}
         for shard in self.ring.shards:
-            status, payload = self.forward(shard, "GET", "/sessions")
+            status, payload, _ = self.forward(shard, "GET", "/sessions")
             if status >= 400:
                 continue
             try:
@@ -1086,7 +1119,7 @@ class ShardRouterServer(ThreadingHTTPServer):
         spans: list[dict] = []
         tracing = {"recorded": 0, "dropped": 0}
         for shard in self.ring.shards:
-            status, payload = self.forward(
+            status, payload, _ = self.forward(
                 shard, "GET", "/traces", query=query
             )
             if status >= 400:
@@ -1207,7 +1240,7 @@ class ShardRouterServer(ThreadingHTTPServer):
             # Best-effort close of the drained source copy; the
             # placement already points at the target, so a failure
             # here only leaks an idle model on the source.
-            close_status, _ = self.forward(
+            close_status, _, _ = self.forward(
                 source, "DELETE", f"/sessions/{session_id}"
             )
         return {
@@ -1343,7 +1376,7 @@ class ShardRouterServer(ThreadingHTTPServer):
             },
         )
         victims: set[str] = set()
-        status, payload = self.forward(url, "GET", "/sessions")
+        status, payload, _ = self.forward(url, "GET", "/sessions")
         if status < 400:
             try:
                 listing = json.loads(payload.decode("utf-8"))

@@ -116,12 +116,16 @@ class _ChaosHandler(BaseHTTPRequestHandler):
             ).encode()
             self._reply(rule.status, payload)
             return
-        status, headers, payload = self.server.forward(method, self.path, body)
+        status, headers, payload = self.server.forward(
+            method, self.path, body, self.headers
+        )
         if rule is not None and rule.sever_body and len(payload) > 1:
             # Advertise the full body but send only half, then cut the
             # connection: the client sees a mid-body disconnect.
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header(
+                "Content-Type", headers.get("Content-Type", "application/json")
+            )
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload[: len(payload) // 2])
@@ -244,13 +248,19 @@ class ChaosProxy(ThreadingHTTPServer):
     # -- forwarding ------------------------------------------------------
 
     def forward(
-        self, method: str, path: str, body: bytes
+        self, method: str, path: str, body: bytes, headers=None
     ) -> tuple[int, dict[str, str], bytes]:
+        """Relay one request; the caller's ``Content-Type`` and
+        ``Accept`` go upstream, so binary data-plane bodies pass."""
+        relayed = {"Content-Type": "application/json"}
+        for name in ("Content-Type", "Accept"):
+            if headers is not None and headers.get(name):
+                relayed[name] = headers[name]
         request = urllib.request.Request(
             self.upstream + path,
             data=body or None,
             method=method,
-            headers={"Content-Type": "application/json"},
+            headers=relayed,
         )
         try:
             with urllib.request.urlopen(

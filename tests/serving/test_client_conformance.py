@@ -1,12 +1,19 @@
-"""One conformance suite, two transports.
+"""One conformance suite, four transports.
 
-Every test here runs twice — once against
-:class:`InProcessServingClient` on a bare manager, once against
-:class:`HTTPServingClient` on a live gateway — and asserts the same
-behaviour from the same :class:`~repro.serving.api.ServingClient`
-surface: typed results, identical field values, identical exception
-types.  This is the contract that lets callers switch transports
-without changing code.
+Every test here runs against each of:
+
+- :class:`InProcessServingClient` on a bare manager;
+- :class:`HTTPServingClient` on a live gateway (binary data plane);
+- the same gateway driven with plain JSON bodies and replies, as curl
+  or an older client would (:class:`JSONWireClient`);
+- :class:`HTTPServingClient` through a 2-shard router;
+
+and asserts the same behaviour from the same
+:class:`~repro.serving.api.ServingClient` surface: typed results,
+identical field values, identical exception types.  This is the
+contract that lets callers switch transports without changing code;
+``TestDataPlaneBits`` pins that the arrays themselves are
+bit-identical over every one.
 """
 
 import threading
@@ -31,16 +38,79 @@ from repro.serving import (
     SliceResult,
 )
 from repro.serving.gateway import serve
+from repro.serving.shard import start_local_cluster
 
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
 
-TRANSPORTS = ("inprocess", "http")
+TRANSPORTS = ("inprocess", "http", "json", "router")
+
+MANAGER_KWARGS = dict(max_batch=4, max_latency_s=0.01, workers=2)
+
+
+def _json_slice(values, mask) -> dict:
+    payload = {"values": np.asarray(values).tolist()}
+    if mask is not None:
+        payload["mask"] = np.asarray(mask, dtype=bool).tolist()
+    return payload
+
+
+class JSONWireClient(HTTPServingClient):
+    """The data plane as JSON lists both ways, with no binary Accept."""
+
+    def ingest(self, session_id, values, mask=None, *, trace_id=None):
+        reply = self._request(
+            "POST",
+            f"/sessions/{session_id}/slices",
+            _json_slice(values, mask),
+        )
+        return IngestAck(
+            session_id=session_id,
+            seq=reply["seq"],
+            trace_id=reply["trace_id"],
+        )
+
+    def results(self, session_id, since=0):
+        reply = self._request(
+            "GET", f"/sessions/{session_id}/results?since={since}"
+        )
+        return [
+            SliceResult(
+                session_id=session_id,
+                seq=entry["seq"],
+                completed=np.asarray(entry["completed"]),
+            )
+            for entry in reply["results"]
+        ]
+
+    def impute(self, session_id, values, mask=None):
+        reply = self._request(
+            "POST",
+            f"/sessions/{session_id}/impute",
+            _json_slice(values, mask),
+        )
+        return ImputeResult(
+            session_id=session_id, completed=np.asarray(reply["completed"])
+        )
+
+    def forecast(self, session_id, horizon):
+        reply = self._request(
+            "GET", f"/sessions/{session_id}/forecast?horizon={horizon}"
+        )
+        return ForecastResult(
+            session_id=session_id,
+            horizon=reply["horizon"],
+            forecast=np.asarray(reply["forecast"]),
+        )
 
 
 @pytest.fixture(params=TRANSPORTS)
 def client(request):
-    """A ServingClient over either transport, same manager settings."""
-    manager = SessionManager(max_batch=4, max_latency_s=0.01, workers=2)
+    """A ServingClient over one transport, same manager settings."""
+    if request.param == "router":
+        with start_local_cluster(2, **MANAGER_KWARGS) as fleet:
+            yield HTTPServingClient(fleet.url)
+        return
+    manager = SessionManager(**MANAGER_KWARGS)
     if request.param == "inprocess":
         try:
             yield InProcessServingClient(manager)
@@ -50,8 +120,11 @@ def client(request):
     server = serve(manager, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    wire_client = (
+        JSONWireClient if request.param == "json" else HTTPServingClient
+    )
     try:
-        yield HTTPServingClient(f"http://127.0.0.1:{server.port}")
+        yield wire_client(f"http://127.0.0.1:{server.port}")
     finally:
         server.shutdown()
         server.server_close()
@@ -111,7 +184,6 @@ class TestTypedSurface:
         np.testing.assert_allclose(
             result.completed[masks[0]], slices[0][masks[0]]
         )
-        assert result.lower is None and result.upper is None
 
     def test_forecast_result_fields(self, client):
         slices, _ = _warm_session(client, n_steps=12)
@@ -120,7 +192,6 @@ class TestTypedSurface:
         assert result.session_id == "s"
         assert result.horizon == 4
         assert result.forecast.shape == (4, *slices[0].shape)
-        assert result.lower is None and result.upper is None
 
     def test_info_surfaces_are_dicts(self, client):
         client.create_session("s", dict(CONFIG_KWARGS))
@@ -183,7 +254,56 @@ class TestDeprecationShims:
             completed = imputed["completed"]
         np.testing.assert_array_equal(completed, imputed.completed)
         with pytest.deprecated_call():
-            assert imputed.get("lower") is None
+            assert imputed.get("session_id") == "s"
         with pytest.raises(KeyError):
             with pytest.deprecated_call():
                 imputed["nope"]
+
+
+def _drive(client, dtype):
+    """One deterministic stream; every array the data plane returns.
+
+    Warm-up slices go through ``ingest``; after a draining
+    ``forecast`` every step is a synchronous ``impute`` (one B=1 flush
+    each), so the trajectory does not depend on flush timing.
+    """
+    config = dict(CONFIG_KWARGS, dtype=dtype)
+    n_warm = config["period"] * config["init_seasons"]
+    slices, masks = make_session_stream(seed=52, n_steps=n_warm + 4)
+    client.create_session("bits", config)
+    for t in range(n_warm):
+        client.ingest("bits", slices[t], masks[t])
+    arrays = {"warm_forecast": client.forecast("bits", 3).forecast}
+    for t in range(n_warm, n_warm + 4):
+        arrays[f"impute{t}"] = client.impute(
+            "bits", slices[t], masks[t]
+        ).completed
+    arrays["forecast"] = client.forecast("bits", 5).forecast
+    for result in client.results("bits"):
+        arrays[f"result{result.seq}"] = result.completed
+    return arrays
+
+
+class TestDataPlaneBits:
+    """Every transport returns the in-process arrays, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bit_identical_to_in_process(self, client, dtype):
+        served = _drive(client, dtype)
+        manager = SessionManager(**MANAGER_KWARGS)
+        try:
+            reference = _drive(InProcessServingClient(manager), dtype)
+        finally:
+            manager.close()
+        assert served.keys() == reference.keys()
+        assert len(served) == 2 + 4 + 12
+        for name, expected in reference.items():
+            got = served[name]
+            if not isinstance(client, InProcessServingClient):
+                # A float32 session's arrays widen exactly to <f8.
+                assert got.dtype == np.float64, name
+            assert got.shape == expected.shape, name
+            assert (
+                got.astype(np.float64).tobytes()
+                == expected.astype(np.float64).tobytes()
+            ), name

@@ -1,8 +1,11 @@
 """HTTP tests: a live ThreadingHTTPServer driven by HTTPServingClient."""
 
+import http.client
+import io
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -14,7 +17,7 @@ from repro.exceptions import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.serving import HTTPServingClient, SessionManager
+from repro.serving import HTTPServingClient, SessionManager, wire
 from repro.serving.gateway import main as serve_main
 from repro.serving.gateway import serve
 from repro.serving.shard import start_local_cluster
@@ -37,6 +40,16 @@ def live_gateway(checkpoint):
         server.server_close()
         thread.join(timeout=10)
         manager.close()
+
+
+@pytest.fixture(params=["direct", "router"])
+def hop_client(request):
+    """An HTTP client at one gateway, or through a 2-shard router."""
+    if request.param == "direct":
+        yield request.getfixturevalue("live_gateway")[0]
+        return
+    with start_local_cluster(2, max_batch=1, max_latency_s=10.0) as fleet:
+        yield HTTPServingClient(fleet.url)
 
 
 class TestRoutes:
@@ -74,7 +87,6 @@ class TestRoutes:
         np.testing.assert_allclose(
             imputed.completed[masks[0]], slices[0][masks[0]]
         )
-        assert imputed.lower is None and imputed.upper is None
 
         forecast = client.forecast("taxi", 3)
         assert forecast.horizon == 3
@@ -194,12 +206,14 @@ class TestHTTPErrors:
         assert envelope["session"] is None
 
 
-def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
+def _post_raw(
+    url: str, body: bytes, content_type: str = "application/json"
+) -> tuple[int, dict]:
     """POST a raw body; returns (status, decoded JSON reply)."""
     request = urllib.request.Request(
         url,
         data=body,
-        headers={"Content-Type": "application/json"},
+        headers={"Content-Type": content_type},
         method="POST",
     )
     try:
@@ -209,49 +223,213 @@ def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read())
 
 
-class TestNonFiniteLiterals:
-    """``NaN``/``Infinity`` in a body are a 400, not a poisoned model."""
+def _npy(*arrays, allow_pickle=False) -> bytes:
+    """NPY records back to back, written without the wire's casts."""
+    out = io.BytesIO()
+    for array in arrays:
+        np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
 
-    def _assert_rejected(self, client, base_url, literal):
-        sid = "finite"
-        slices, masks = make_session_stream(seed=23, n_steps=3)
-        for t in range(3):
-            client.ingest(sid, slices[t], masks[t])
-        client.forecast(sid, 1)  # synchronous: drains the session
-        before = client.results(sid)
-        assert [r.seq for r in before] == [0, 1, 2]
-        next_seq = client.session_stats(sid)["next_seq"]
-        values = slices[0].tolist()
-        body = json.dumps({"values": values}).replace(
-            repr(values[0][0]), literal, 1
+
+def _session_state(client, sid):
+    """Everything a rejected request must leave untouched."""
+    results = client.results(sid)
+    return (
+        client.session_stats(sid)["next_seq"],
+        [(r.seq, r.completed.tobytes()) for r in results],
+    )
+
+
+def _assert_rejected(client, url, body, content_type, error, fragment):
+    """POST ``body``: a 400 ``error`` envelope, the session unchanged."""
+    sid = "finite"
+    slices, masks = make_session_stream(seed=23, n_steps=3)
+    for t in range(3):
+        client.ingest(sid, slices[t], masks[t])
+    client.forecast(sid, 1)  # synchronous: drains the session
+    before = _session_state(client, sid)
+    assert [seq for seq, _ in before[1]] == [0, 1, 2]
+    status, reply = _post_raw(url, body, content_type)
+    assert status == 400
+    assert reply["error"]["type"] == error
+    assert fragment in reply["error"]["message"]
+    assert reply["error"]["session"] == sid
+    assert _session_state(client, sid) == before
+    assert np.isfinite(client.forecast(sid, 2).forecast).all()
+
+
+def _slice_body(encoding: str, bad) -> bytes:
+    """An ingest/impute body whose first value is ``bad``."""
+    slices, _ = make_session_stream(seed=24, n_steps=1)
+    values = slices[0].copy()
+    if encoding == "binary":
+        values[0, 0] = bad
+        return wire.encode(wire.SLICE, values)
+    text = json.dumps({"values": values.tolist()})
+    first = repr(float(values[0, 0]))
+    assert first in text
+    return text.replace(first, bad, 1).encode("utf-8")
+
+
+#: Values that must not reach a model: (case, encoding, bad value,
+#: the fragment the 400 names). JSON's NaN/Infinity literals are refused by
+#: the parser and named; an overflowing number, an integer beyond
+#: float64 and NaN bits fail the finite check.
+NON_FINITE = [
+    ("json-NaN", "json", "NaN", "NaN"),
+    ("json-Infinity", "json", "Infinity", "Infinity"),
+    ("json-neg-Infinity", "json", "-Infinity", "-Infinity"),
+    ("json-1e999", "json", "1e999", "finite"),
+    ("json-neg-1e999", "json", "-1e999", "finite"),
+    ("json-huge-int", "json", "1" + "0" * 400, "finite"),
+    ("binary-NaN", "binary", np.nan, "finite"),
+]
+
+
+class TestNonFiniteLiterals:
+    """Non-finite values are a 400, not a poisoned model."""
+
+    @pytest.mark.parametrize("route", ["slices", "impute"])
+    @pytest.mark.parametrize(
+        "encoding, bad, fragment",
+        [case[1:] for case in NON_FINITE],
+        ids=[case[0] for case in NON_FINITE],
+    )
+    def test_values_must_be_finite(
+        self, hop_client, checkpoint, encoding, bad, fragment, route
+    ):
+        client = hop_client
+        client.create_session("finite", checkpoint=str(checkpoint))
+        _assert_rejected(
+            client,
+            f"{client._base}/sessions/finite/{route}",
+            _slice_body(encoding, bad),
+            "application/json" if encoding == "json" else wire.MEDIA_TYPE,
+            "ValueError",
+            fragment,
         )
-        assert literal in body
+
+
+def _binary_slice():
+    slices, masks = make_session_stream(seed=25, n_steps=1)
+    return slices[0], masks[0]
+
+
+#: Malformed binary slice bodies: (case, body, error type, fragment).
+MALFORMED = [
+    (
+        "truncated",
+        _npy(*_binary_slice())[:-7],
+        "ValueError",
+        "truncated",
+    ),
+    (
+        "trailing_bytes",
+        _npy(*_binary_slice()) + b"\x00",
+        "ValueError",
+        "trailing bytes",
+    ),
+    (
+        "object_dtype",
+        _npy(_binary_slice()[0].astype(object), allow_pickle=True),
+        "ValueError",
+        "'|O'",
+    ),
+    (
+        "float32_dtype",
+        _npy(_binary_slice()[0].astype(np.float32)),
+        "ValueError",
+        "'<f4'",
+    ),
+    (
+        "mask_shape",
+        _npy(_binary_slice()[0], _binary_slice()[1][:-1]),
+        "ShapeError",
+        "mask shape",
+    ),
+    ("missing_values", b"", "ValueError", "no 'values' record"),
+    ("not_npy", b"[[1.0, 2.0]]", "ValueError", "'values' record"),
+]
+
+
+class TestMalformedBodies:
+    """A bad slice body is a 400 envelope, never a 500."""
+
+    @pytest.mark.parametrize("route", ["slices", "impute"])
+    @pytest.mark.parametrize(
+        "body, error, fragment",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_slice_routes(
+        self, live_gateway, checkpoint, route, body, error, fragment
+    ):
+        client, _ = live_gateway
+        client.create_session("finite", checkpoint=str(checkpoint))
+        _assert_rejected(
+            client,
+            f"{client._base}/sessions/finite/{route}",
+            body,
+            wire.MEDIA_TYPE,
+            error,
+            fragment,
+        )
+
+    @pytest.mark.parametrize(
+        "entry, fragment",
+        # numpy reads null as NaN.
+        [(b"null", "finite"), (b"{}", "finite numbers")],
+    )
+    def test_non_numeric_json_values(
+        self, live_gateway, checkpoint, entry, fragment
+    ):
+        client, _ = live_gateway
+        client.create_session("finite", checkpoint=str(checkpoint))
+        _assert_rejected(
+            client,
+            f"{client._base}/sessions/finite/slices",
+            b'{"values": [[' + entry + b", 1.0]]}",
+            "application/json",
+            "ValueError",
+            fragment,
+        )
+
+    def test_json_only_endpoint(self, live_gateway):
+        client, _ = live_gateway
+        body = wire.encode(wire.SLICE, np.zeros((2, 2)))
         status, reply = _post_raw(
-            f"{base_url}/sessions/{sid}/slices", body.encode("utf-8")
+            f"{client._base}/sessions", body, wire.MEDIA_TYPE
         )
         assert status == 400
         assert reply["error"]["type"] == "ValueError"
-        assert literal in reply["error"]["message"]
-        assert client.session_stats(sid)["next_seq"] == next_seq
-        after = client.results(sid)
-        assert [r.seq for r in after] == [r.seq for r in before]
-        for a, b in zip(before, after):
-            np.testing.assert_array_equal(a.completed, b.completed)
-        assert np.isfinite(client.forecast(sid, 2).forecast).all()
+        assert "JSON body" in reply["error"]["message"]
+        assert reply["error"]["session"] is None
+        assert client.list_sessions() == []
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    def test_direct(self, live_gateway, checkpoint, literal):
+    def test_refused_body_is_drained_on_a_kept_alive_connection(
+        self, live_gateway
+    ):
         client, _ = live_gateway
-        client.create_session("finite", checkpoint=str(checkpoint))
-        self._assert_rejected(client, client._base, literal)
-
-    def test_through_router(self, checkpoint):
-        with start_local_cluster(
-            2, max_batch=1, max_latency_s=10.0
-        ) as fleet:
-            client = HTTPServingClient(fleet.url)
-            client.create_session("finite", checkpoint=str(checkpoint))
-            self._assert_rejected(client, client._base, "NaN")
+        url = urllib.parse.urlsplit(client._base)
+        body = wire.encode(wire.SLICE, np.zeros((2, 2)))
+        connection = http.client.HTTPConnection(url.netloc, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                url.path + "/sessions",
+                body,
+                {"Content-Type": wire.MEDIA_TYPE},
+            )
+            refused = connection.getresponse()
+            refused.read()
+            assert refused.status == 400
+            # The same connection serves the next request.
+            connection.request("GET", url.path + "/healthz")
+            health = connection.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+        finally:
+            connection.close()
 
 
 class TestCLI:
