@@ -6,6 +6,18 @@ residual survives the Huber clipping, and each entry carries its own
 exponentially smoothed error scale.  :func:`robust_step` fuses the two
 updates over one shared residual, which is what the dynamic phase calls
 once per incoming subtensor.
+
+All four step forms — dense and observed-coordinate, single slice and
+mini-batch (:func:`robust_step`, :func:`robust_step_at`,
+:func:`robust_step_batch`, :func:`robust_step_batch_at`) — and the two
+single-purpose wrappers run the same element-wise pass,
+``_robust_terms``: it computes ``z = r/σ`` once and returns the Huber
+excess and the biweight growth factor ``φ ρ(z) + 1 - φ`` from in-place
+arithmetic.  The forms differ only in how they mask and how they fold
+the growth into the scale.  :func:`~repro.forecast.robust.huber_psi`
+and :func:`~repro.forecast.robust.biweight_rho` stay the reference
+definitions; the pass matches them bit for bit on the outliers and to
+within a last-place rounding of the cube on the growth.
 """
 
 from __future__ import annotations
@@ -13,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.forecast.robust import biweight_rho, huber_psi
 from repro.tensor.kernels import soft_threshold as _kernel_soft_threshold
 from repro.tensor.validation import (
     as_float as _as_float,
@@ -44,22 +55,52 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return _kernel_soft_threshold(values, threshold)
 
 
-def _huber_excess(residual: np.ndarray, sigma: np.ndarray, k: float):
-    """Residual in excess of the Huber clip ``ψ(r/σ)σ`` (Eq. 21 core)."""
-    return residual - huber_psi(residual / sigma, k) * sigma
-
-
-def _biweight_scale(
+def _robust_terms(
     residual: np.ndarray,
     sigma: np.ndarray,
     *,
-    phi: float,
     k: float,
+    phi: float,
     ck: float,
-) -> np.ndarray:
-    """One biweight recursion step of the error scale (Eq. 22 core)."""
-    rho = biweight_rho(residual / sigma, k, ck)
-    return np.sqrt(phi * rho * sigma**2 + (1.0 - phi) * sigma**2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Huber excess and biweight growth of one residual (Eq. 21-22 core).
+
+    With ``z = r / σ`` computed once, returns
+
+    * ``excess = r - ψ(z) σ`` — the outlier part of the residual
+      (Eq. 21 before masking), and
+    * ``growth = φ ρ(z) + 1 - φ`` — the factor Eq. 22 multiplies the
+      squared scale by, so ``Σ_t = Σ_{t-1} sqrt(growth)``.
+
+    The arithmetic is that of :func:`~repro.forecast.robust.huber_psi`
+    and :func:`~repro.forecast.robust.biweight_rho` in the same order,
+    run in place on two buffers.  Two steps are rewritten without
+    changing a bit: ``clip(|z|/k, 0, 1)²`` is computed as
+    ``min((z/k)², 1)``, and the clip of ``z`` as a maximum and a
+    minimum.  The one rounding change is the cube ``t*t*t`` in place
+    of ``t**3`` (libm ``pow``), which can differ in the last place.
+    Entries are never masked here: missing cells may hold NaN, which
+    stays in its cell and is discarded by the callers' ``np.where``.
+    """
+    z = np.asarray(residual / sigma)
+    excess = np.empty_like(z)
+    np.maximum(z, -k, out=excess)
+    np.minimum(excess, k, out=excess)
+    excess *= sigma
+    np.subtract(residual, excess, out=excess)
+    # z becomes t = 1 - min((z/k)², 1), then growth = φ ck (1 - t³) + 1 - φ.
+    z /= k
+    np.multiply(z, z, out=z)
+    np.minimum(z, 1.0, out=z)
+    np.subtract(1.0, z, out=z)
+    growth = np.empty_like(z)
+    np.multiply(z, z, out=growth)
+    growth *= z
+    np.subtract(1.0, growth, out=growth)
+    growth *= ck
+    growth *= phi
+    growth += 1.0 - phi
+    return excess, growth
 
 
 def estimate_outliers(
@@ -76,13 +117,7 @@ def estimate_outliers(
     residual in excess of ``k`` error scales.  Missing entries carry no
     outlier (zero).
     """
-    y = _as_float(observed)
-    yhat = _as_float(predicted)
-    sg = _as_float(sigma)
-    check_same_shape(y, yhat, names=("observed", "predicted"))
-    check_same_shape(y, sg, names=("observed", "sigma"))
-    m = check_mask(mask, y.shape)
-    return np.where(m, _huber_excess(y - yhat, sg, k), 0.0)
+    return robust_step(observed, predicted, sigma, mask, k=k)[0]
 
 
 def update_error_scale(
@@ -104,14 +139,9 @@ def update_error_scale(
     update, so one extreme outlier cannot contaminate the scale it is
     judged against (paper §V-C1).
     """
-    y = _as_float(observed)
-    yhat = _as_float(predicted)
-    sg = _as_float(sigma)
-    check_same_shape(y, yhat, names=("observed", "predicted"))
-    check_same_shape(y, sg, names=("observed", "sigma"))
-    m = check_mask(mask, y.shape)
-    updated = _biweight_scale(y - yhat, sg, phi=phi, k=k, ck=ck)
-    return np.where(m, updated, sg)
+    return robust_step(
+        observed, predicted, sigma, mask, k=k, phi=phi, ck=ck
+    )[1]
 
 
 def robust_step(
@@ -137,12 +167,10 @@ def robust_step(
     check_same_shape(y, yhat, names=("observed", "predicted"))
     check_same_shape(y, sg, names=("observed", "sigma"))
     m = check_mask(mask, y.shape)
-    residual = y - yhat
-    outliers = np.where(m, _huber_excess(residual, sg, k), 0.0)
-    new_sigma = np.where(
-        m, _biweight_scale(residual, sg, phi=phi, k=k, ck=ck), sg
-    )
-    return outliers, new_sigma
+    excess, growth = _robust_terms(y - yhat, sg, k=k, phi=phi, ck=ck)
+    np.sqrt(growth, out=growth)
+    growth *= sg
+    return np.where(m, excess, 0.0), np.where(m, growth, sg)
 
 
 def robust_step_at(
@@ -182,13 +210,12 @@ def robust_step_at(
     y = _as_float(observed_values)
     yhat = _as_float(predicted_values)
     sg = _as_float(sigma)
-    residual = y - yhat
     sg_values = sg[coords]
-    outlier_values = _huber_excess(residual, sg_values, k)
-    new_sigma = sg.copy()
-    new_sigma[coords] = _biweight_scale(
-        residual, sg_values, phi=phi, k=k, ck=ck
+    outlier_values, growth = _robust_terms(
+        y - yhat, sg_values, k=k, phi=phi, ck=ck
     )
+    new_sigma = sg.copy()
+    new_sigma[coords] = sg_values * np.sqrt(growth)
     return outlier_values, new_sigma
 
 
@@ -231,10 +258,10 @@ def robust_step_batch_at(
     yhat = _as_float(predicted_values)
     sg = _as_float(sigma)
     spatial = coords[1:]
-    residual = y - yhat
     sg_values = sg[spatial]
-    outlier_values = _huber_excess(residual, sg_values, k)
-    growth = phi * biweight_rho(residual / sg_values, k, ck) + (1.0 - phi)
+    outlier_values, growth = _robust_terms(
+        y - yhat, sg_values, k=k, phi=phi, ck=ck
+    )
     # Product over the batch via a sum of logs: growth is non-negative
     # (and zero only in the degenerate phi = 1 case, where log -> -inf
     # and exp recovers the exact zero product).
@@ -299,10 +326,7 @@ def robust_step_batch(
             f"batch shape {y.shape} does not match sigma {sg.shape}"
         )
     m = check_mask(mask, y.shape)
-    residual = y - yhat
-    outliers = np.where(m, _huber_excess(residual, sg, k), 0.0)
-    growth = np.where(
-        m, phi * biweight_rho(residual / sg, k, ck) + (1.0 - phi), 1.0
-    )
-    new_sigma = sg * np.sqrt(np.prod(growth, axis=0))
+    excess, growth = _robust_terms(y - yhat, sg, k=k, phi=phi, ck=ck)
+    outliers = np.where(m, excess, 0.0)
+    new_sigma = sg * np.sqrt(np.prod(np.where(m, growth, 1.0), axis=0))
     return outliers, new_sigma

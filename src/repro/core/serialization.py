@@ -36,6 +36,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -93,8 +95,28 @@ def _state_arrays(sofia: Sofia) -> dict[str, np.ndarray]:
 
 
 def save_sofia(sofia: Sofia, path: str | Path) -> None:
-    """Checkpoint an initialized SOFIA model to ``path`` (npz)."""
-    np.savez_compressed(Path(path), **_state_arrays(sofia))
+    """Checkpoint an initialized SOFIA model to ``path`` (npz).
+
+    As with ``np.savez_compressed``, ``.npz`` is appended when ``path``
+    lacks it.  The archive is written to a temporary file beside the
+    target and renamed over it, so a reader (shard failover reads a
+    checkpoint that its writer may still be refreshing) or a crash
+    mid-write never sees a torn archive: the file holds the previous
+    checkpoint or the new one.
+    """
+    target = Path(path)
+    if not target.name.endswith(".npz"):
+        target = target.with_name(target.name + ".npz")
+    fd, partial = tempfile.mkstemp(
+        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **_state_arrays(sofia))
+        os.replace(partial, target)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
 
 
 def dumps_sofia(sofia: Sofia) -> bytes:

@@ -86,9 +86,14 @@ def run_scalability(
         over its steps (amortized per-step time), keeping both Fig. 7
         curves per-step.
 
-    Update times are this process's CPU time (``time.process_time``),
-    not wall time, so other processes competing for the cores cannot
-    stretch single intervals and bend the fitted lines.
+    Update times are the calling thread's CPU time
+    (``time.thread_time``), not wall time, so other processes competing
+    for the cores cannot stretch single intervals and bend the fitted
+    lines.  Process CPU time would also count the BLAS pool's worker
+    threads, which spin between calls for however long the scheduler
+    lets them, and that bent the time-vs-entries line just as badly.
+    The sizes are stepped in turn, one step each, so a change in the
+    machine's speed mid-sweep reaches every size alike.
     """
     import time
 
@@ -97,31 +102,28 @@ def run_scalability(
     )
     startup = 3 * period
 
-    entries = []
-    totals = []
-    cumulative_steps = np.array([], dtype=int)
-    cumulative_seconds = np.array([])
+    config = SofiaConfig(
+        rank=rank,
+        period=period,
+        lambda1=0.1,
+        lambda2=0.1,
+        max_outer_iters=50,
+        tol=1e-4,
+        batch_size=batch_size,
+    )
+    runs = []
     for rows in row_sizes:
         data = stream.data[:rows]
-        config = SofiaConfig(
-            rank=rank,
-            period=period,
-            lambda1=0.1,
-            lambda2=0.1,
-            max_outer_iters=50,
-            tol=1e-4,
-            batch_size=batch_size,
-        )
+        mask = np.ones(data.shape[:-1], dtype=bool)
         algo = SofiaImputer(config)
         algo.initialize(
-            [data[..., t] for t in range(startup)],
-            [np.ones(data.shape[:-1], dtype=bool)] * startup,
+            [data[..., t] for t in range(startup)], [mask] * startup
         )
-        mask = np.ones(data.shape[:-1], dtype=bool)
-        per_step = []
-        for t in range(startup, n_steps, batch_size):
-            stop = min(t + batch_size, n_steps)
-            t0 = time.process_time()
+        runs.append((data, mask, algo, []))
+    for t in range(startup, n_steps, batch_size):
+        stop = min(t + batch_size, n_steps)
+        for data, mask, algo, per_step in runs:
+            t0 = time.thread_time()
             if batch_size == 1:
                 algo.step(data[..., t], mask)
             else:
@@ -130,13 +132,13 @@ def run_scalability(
                     np.broadcast_to(mask, (stop - t,) + mask.shape),
                 )
             per_step.extend(
-                [(time.process_time() - t0) / (stop - t)] * (stop - t)
+                [(time.thread_time() - t0) / (stop - t)] * (stop - t)
             )
-        entries.append(rows * n_cols)
-        totals.append(float(np.sum(per_step)))
-        if rows == max(row_sizes):
-            cumulative_steps = np.arange(1, len(per_step) + 1)
-            cumulative_seconds = np.cumsum(per_step)
+    entries = [rows * n_cols for rows in row_sizes]
+    totals = [float(np.sum(per_step)) for *_, per_step in runs]
+    largest = runs[int(np.argmax(row_sizes))][-1]
+    cumulative_steps = np.arange(1, len(largest) + 1)
+    cumulative_seconds = np.cumsum(largest)
     return ScalabilityResult(
         entries_per_step=np.asarray(entries, dtype=np.float64),
         total_seconds=np.asarray(totals),

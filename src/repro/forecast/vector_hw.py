@@ -111,35 +111,50 @@ class VectorHoltWinters:
         u = np.asarray(value, dtype=np.float64).reshape(-1)
         if u.size != self.rank:
             raise ShapeError(f"expected a length-{self.rank} vector, got {u.size}")
-        s_old = self.seasonal[0]  # s_{t-m}
-        prev_level = self.level
-        prev_trend = self.trend
-        level = self.alpha * (u - s_old) + (1.0 - self.alpha) * (
-            prev_level + prev_trend
-        )
-        trend = self.beta * (level - prev_level) + (1.0 - self.beta) * prev_trend
-        s_new = self.gamma * (u - prev_level - prev_trend) + (
-            1.0 - self.gamma
-        ) * s_old
-        self.level = level
-        self.trend = trend
-        self.seasonal = np.vstack([self.seasonal[1:], s_new[None, :]])
+        self._advance(u[None, :])
 
     def update_many(self, values: np.ndarray) -> None:
         """Advance the state with ``B`` temporal vectors in one call.
 
-        Applies Eq. 26a-26c once per row of ``values`` (oldest first) —
-        the smoothing recurrences are sequential by definition, but each
-        iteration is ``O(R)``, so a whole mini-batch advances without
-        re-entering the per-step dispatch path.
+        Bit-identical to calling :meth:`update` once per row of
+        ``values`` (oldest first): the input is validated once, and the
+        recurrence runs over one preallocated ``(m + B, R)`` seasonal
+        buffer, so no row re-validates or re-stacks the buffer.
         """
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[1] != self.rank:
             raise ShapeError(
                 f"expected a (batch, {self.rank}) array, got {vals.shape}"
             )
-        for row in vals:
-            self.update(row)
+        self._advance(vals)
+
+    def _advance(self, vals: np.ndarray) -> None:
+        """Run Eq. 26a-26c over the validated ``(B, R)`` rows of ``vals``.
+
+        Row ``b`` reads ``s_{t-m}`` from buffer row ``b`` and writes its
+        new seasonal component to row ``m + b``; the last ``m`` rows are
+        the new buffer.  The sequential recurrences cost ``O(R)`` per
+        row, with ``1 - α``, ``1 - β`` and ``1 - γ`` formed once.
+        """
+        period = self.period
+        seasonal = np.empty((period + vals.shape[0], self.rank))
+        seasonal[:period] = self.seasonal
+        alpha, beta, gamma = self.alpha, self.beta, self.gamma
+        keep_alpha, keep_beta, keep_gamma = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
+        level, trend = self.level, self.trend
+        for b, u in enumerate(vals):
+            s_old = seasonal[b]  # s_{t-m}
+            new_level = alpha * (u - s_old) + keep_alpha * (level + trend)
+            np.add(
+                gamma * (u - level - trend),
+                keep_gamma * s_old,
+                out=seasonal[period + b],
+            )
+            trend = beta * (new_level - level) + keep_beta * trend
+            level = new_level
+        self.level = level
+        self.trend = trend
+        self.seasonal = seasonal[-period:]
 
     def copy(self) -> "VectorHoltWinters":
         """Deep copy (used to forecast without disturbing live state)."""

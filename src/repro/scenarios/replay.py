@@ -542,12 +542,32 @@ def _drive(
     )
 
 
+def _settled(snapshot: dict) -> bool:
+    """Every ingested slice has flushed and no shard is mid-failover.
+
+    Behind a router, a shard that stopped answering counts only once
+    the router has declared it dead and finished re-homing its
+    sessions (one completed failover per dead shard).  Until then a
+    session still placed on it answers 502, and the replay's closing
+    calls would fail on it.
+    """
+    if snapshot["slices_flushed"] < snapshot["slices_ingested"]:
+        return False
+    router = snapshot.get("router")
+    if router is None:
+        return True
+    dead = set(router["dead_shards"])
+    return set(snapshot.get("unreachable_shards") or ()) <= dead and (
+        router["failovers"] >= len(dead)
+    )
+
+
 def _wait_for_drain(client: HTTPServingClient) -> tuple[bool, float]:
-    """Poll ``/metrics`` until every ingested slice has flushed."""
+    """Poll ``/metrics`` until the fleet has :func:`_settled`."""
     start = time.monotonic()
     while time.monotonic() - start < _DRAIN_TIMEOUT_S:
         snapshot = client.metrics()
-        if snapshot["slices_flushed"] >= snapshot["slices_ingested"]:
+        if _settled(snapshot):
             return True, time.monotonic() - start
         time.sleep(0.02)
     return False, time.monotonic() - start

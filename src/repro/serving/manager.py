@@ -336,6 +336,7 @@ class SessionManager:
         saved: str | None = None
         with session.lock:
             if checkpoint_path is not None:
+                self._raise_on_failure(session)
                 self._require_initialized(session, "checkpointing")
                 saved = str(
                     self._store.save_to(session_id, checkpoint_path)
@@ -535,11 +536,7 @@ class SessionManager:
         session = self._get_session(session_id)
         trace = self.tracer.sample(trace_id)
         accepted_at = self._scheduler.now() if trace else 0.0
-        y = np.asarray(subtensor, dtype=session.config.np_dtype)
-        if mask is None:
-            m = np.ones(y.shape, dtype=bool)
-        else:
-            m = check_mask(mask, y.shape)
+        y, m = self._read_slice(session, subtensor, mask)
         with session.lock:
             if session.closing:
                 raise SessionNotFoundError(
@@ -614,12 +611,7 @@ class SessionManager:
         once warmup completes (feed warmup data through :meth:`ingest`).
         """
         session = self._get_session(session_id)
-        y = np.asarray(subtensor, dtype=session.config.np_dtype)
-        m = (
-            np.ones(y.shape, dtype=bool)
-            if mask is None
-            else check_mask(mask, y.shape)
-        )
+        y, m = self._read_slice(session, subtensor, mask)
         # Apply what is already buffered first: a warming session may
         # be a few pending slices away from initializing, and the check
         # below must see the post-drain state.
@@ -671,19 +663,9 @@ class SessionManager:
         """Status snapshot of one session (JSON-serializable)."""
         session = self._get_session(session_id)
         with session.lock:
-            if not session.initialized:
-                status = "warming"
-            elif session.degraded:
-                # Failover lost acknowledged slices for this session;
-                # the mark is permanent and outranks ready/evicted.
-                status = "degraded"
-            elif self._store.is_resident(session_id):
-                status = "ready"
-            else:
-                status = "evicted"
             return {
                 "session_id": session_id,
-                "status": status,
+                "status": self._status_locked(session),
                 "failure": session.failure,
                 "consumed": session.consumed,
                 "degraded": session.degraded,
@@ -722,17 +704,9 @@ class SessionManager:
         session = self._get_session(session_id)
         now = self._scheduler.now()
         with session.lock:
-            if not session.initialized:
-                status = "warming"
-            elif session.degraded:
-                status = "degraded"
-            elif self._store.is_resident(session_id):
-                status = "ready"
-            else:
-                status = "evicted"
             stats = {
                 "session_id": session_id,
-                "status": status,
+                "status": self._status_locked(session),
                 "failure": session.failure,
                 "resident": self._store.is_resident(session_id),
                 "pending": self._scheduler.pending_count(session_id),
@@ -796,6 +770,47 @@ class SessionManager:
         if session is None:
             raise SessionNotFoundError(f"no session {session_id!r}")
         return session
+
+    def _status_locked(self, session: _Session) -> str:
+        """The session's lifecycle status (caller holds its lock)."""
+        if session.failure is not None:
+            # A failed session never serves again; outranks the rest.
+            return "failed"
+        if not session.initialized:
+            return "warming"
+        if session.degraded:
+            # Failover lost acknowledged slices for this session; the
+            # mark is permanent and outranks ready/evicted.
+            return "degraded"
+        if self._store.is_resident(session.session_id):
+            return "ready"
+        return "evicted"
+
+    @staticmethod
+    def _read_slice(session: _Session, subtensor, mask):
+        """Cast one incoming slice to the session dtype and validate it.
+
+        Observed entries must be finite *after* the cast: a finite
+        float64 beyond float32's range becomes an infinity in a
+        float32 session.  Missing cells may hold anything, NaN
+        included; the model never reads them.
+        """
+        y = np.asarray(subtensor)
+        if y.dtype != session.config.np_dtype:
+            # An overflowing cast is caught by the check below.
+            with np.errstate(over="ignore"):
+                y = y.astype(session.config.np_dtype)
+        if mask is None:
+            m = np.ones(y.shape, dtype=bool)
+        else:
+            m = check_mask(mask, y.shape)
+        finite = np.isfinite(y)
+        if not finite.all() and not finite[m].all():
+            raise ValueError(
+                f"session {session.session_id!r}: observed values must "
+                f"be finite in {session.config.dtype}"
+            )
+        return y, m
 
     @staticmethod
     def _raise_on_failure(session: _Session) -> None:
@@ -1018,6 +1033,9 @@ class SessionManager:
             if result.error is not None:
                 session.failure = result.error
                 self.metrics.increment("flush_failures")
+                # The flush may have mutated the live model part way:
+                # never let it reach a checkpoint.
+                self._store.discard(session.session_id)
                 self._record_spans_locked(
                     plan,
                     result,

@@ -10,7 +10,10 @@ manager prepares a request under the session's lock, hands it over,
 and commits the result under the same lock.
 
 Execution never raises.  A failing batch becomes an ``error`` result,
-and the manager marks only that session failed.
+and the manager marks only that session failed.  So does a batch that
+leaves non-finite factors, error scale or Holt-Winters state: the
+session fails instead of committing state that would turn every later
+result NaN.
 """
 
 from __future__ import annotations
@@ -95,6 +98,59 @@ def _backend_scope(name: str | None):
     return nullcontext() if name is None else kernels.use_backend(name)
 
 
+def _quality_aggregates(seqs, steps, ys, masks) -> list[tuple]:
+    """One ``(seq, observed, residual_ss, signal_ss, outliers)`` per slice.
+
+    Scalar aggregates of arrays the step already computed — reductions
+    only, no new linear algebra — taken over the whole ``(B, …)`` batch
+    with one reduction per quantity.  ``residual_ss`` and ``signal_ss``
+    sum the squared one-step-ahead forecast residual and the squared
+    data over observed entries; missing cells may hold NaN, so they are
+    excluded by ``np.where`` before any arithmetic.
+    """
+    n = len(seqs)
+    mask = np.asarray(masks, dtype=bool).reshape(n, -1)
+    # One np.where zeroes the missing cells, NaN included; after it the
+    # residual can be masked by multiplying, which is exact and cheaper.
+    signal = np.where(mask, np.asarray(ys, dtype=float).reshape(n, -1), 0.0)
+    forecast = np.asarray([step.prediction for step in steps], dtype=float)
+    residual = signal - forecast.reshape(n, -1)
+    residual *= mask
+    outliers = np.asarray([step.outliers for step in steps]).reshape(n, -1)
+    return list(
+        zip(
+            seqs,
+            mask.sum(axis=1).tolist(),
+            np.square(residual, out=residual).sum(axis=1).tolist(),
+            np.square(signal, out=signal).sum(axis=1).tolist(),
+            (outliers != 0).sum(axis=1).tolist(),
+        )
+    )
+
+
+def _check_finite(sofia: Sofia) -> None:
+    """Raise when a flush left non-finite model state.
+
+    One NaN or infinity in the factors, the error scale or the
+    Holt-Winters state spreads into every later result and forecast,
+    so such a flush fails its session instead of committing.
+    """
+    state = sofia.state
+    hw = state.hw
+    parts = {
+        "factors": [*state.non_temporal, state.temporal_buffer],
+        "error scale": [state.sigma],
+        "Holt-Winters state": [hw.level, hw.trend, hw.seasonal],
+    }
+    # One pass over all of it; the per-part scan only names the culprit.
+    flat = [array.ravel() for arrays in parts.values() for array in arrays]
+    if np.isfinite(np.concatenate(flat)).all():
+        return
+    for name, arrays in parts.items():
+        if not all(np.isfinite(array).all() for array in arrays):
+            raise FloatingPointError(f"flush left non-finite {name}")
+
+
 def execute_request(request: FlushRequest) -> FlushResult:
     """Run one flush; never raises (failures become ``error`` results)."""
     started = time.perf_counter()
@@ -120,31 +176,17 @@ def execute_request(request: FlushRequest) -> FlushResult:
                     for seq, step in zip(request.step_seqs, steps)
                 )
                 result.consumed += len(request.step_seqs)
-                # Quality aggregates from arrays the step already
-                # computed — reductions only, no new linear algebra.
-                for seq, step, y, m in zip(
+                result.quality = _quality_aggregates(
                     request.step_seqs,
                     steps,
                     request.step_ys,
                     request.step_masks,
-                ):
-                    mask = np.asarray(m, dtype=bool)
-                    y_arr = np.asarray(y, dtype=float)
-                    forecast = np.asarray(step.prediction, dtype=float)
-                    residual = np.where(mask, y_arr - forecast, 0.0)
-                    signal = np.where(mask, y_arr, 0.0)
-                    result.quality.append(
-                        (
-                            seq,
-                            int(mask.sum()),
-                            float(np.sum(residual * residual)),
-                            float(np.sum(signal * signal)),
-                            int(np.count_nonzero(np.asarray(step.outliers))),
-                        )
-                    )
+                )
                 result.error_scale = float(
                     np.mean(np.asarray(sofia.state.sigma))
                 )
+            if sofia is not None:
+                _check_finite(sofia)
         result.model = sofia
     except Exception as exc:  # noqa: BLE001 - flush boundary
         result = FlushResult(

@@ -748,12 +748,14 @@ class ShardRouterServer(ThreadingHTTPServer):
         streak resets on any success, so a flap below the threshold
         never triggers anything), but recovery never pulls sessions
         back — re-homed placements stay where failover put them.
+        Liveness is the ``/metrics`` fetch; the ``/sessions`` listing
+        that feeds placement load and failover candidates is refreshed
+        when it answers in time and kept from the last sweep otherwise.
         """
         newly_dead: list[str] = []
         for shard in self.ring.shards:
             try:
                 snapshot = self._probe_fetch(shard, "/metrics")
-                listing = self._probe_fetch(shard, "/sessions")
             except Exception as exc:  # noqa: BLE001 - any failure counts
                 with self._state_lock:
                     health = self._health.get(shard)
@@ -770,10 +772,15 @@ class ShardRouterServer(ThreadingHTTPServer):
                         health.alive = False
                         newly_dead.append(shard)
                 continue
+            try:
+                listing = self._probe_fetch(shard, "/sessions")
+            except Exception:  # noqa: BLE001 - liveness is /metrics
+                # The listing reads each session's stats under its
+                # lock, so a live shard mid-way through a long flush
+                # (a session initializing) can miss the timeout: keep
+                # its last listing rather than count it dead.
+                listing = None
             flush = snapshot.get("flush_latency") or {}
-            sessions = tuple(
-                str(sid) for sid in listing.get("sessions", ())
-            )
             with self._state_lock:
                 health = self._health.get(shard)
                 if health is None:
@@ -782,12 +789,15 @@ class ShardRouterServer(ThreadingHTTPServer):
                 health.consecutive_failures = 0
                 health.alive = True
                 health.last_error = None
-                health.resident_sessions = len(sessions)
                 health.flush_p95_seconds = float(
                     flush.get("p95_seconds") or 0.0
                 )
-                health.sessions = sessions
-                health.placed_since_probe = 0
+                if listing is not None:
+                    health.sessions = tuple(
+                        str(sid) for sid in listing.get("sessions", ())
+                    )
+                    health.resident_sessions = len(health.sessions)
+                    health.placed_since_probe = 0
         failover = {
             shard: self._failover(shard) for shard in newly_dead
         }
@@ -1433,7 +1443,6 @@ class ShardRouterServer(ThreadingHTTPServer):
         reported, never silent — and leave the placement untouched.
         """
         with self._state_lock:
-            self._failovers += 1
             health = self._health.get(shard)
             known = set(health.sessions) if health is not None else set()
             known.update(
@@ -1462,6 +1471,10 @@ class ShardRouterServer(ThreadingHTTPServer):
                     lost[sid] = reason
                     continue
             rehomed.append(sid)
+        # Counted once every session is re-homed (or recorded lost), so
+        # ``failovers`` tells a client that the fleet has settled.
+        with self._state_lock:
+            self._failovers += 1
         return {"shard": shard, "rehomed": rehomed, "lost": lost}
 
     def _find_checkpoint(self, session_id: str) -> Path | None:

@@ -187,6 +187,17 @@ class CheckpointStore:
                 self.checkpoint_path(session_id).unlink(missing_ok=True)
             self._pins.pop(session_id, None)
 
+    def discard(self, session_id: str) -> None:
+        """Drop a failed session's model from memory without writing it.
+
+        Eviction would otherwise spill the bad state over the session's
+        checkpoint, which in durable mode still holds the last
+        committed good state.  Pins and the durable file stay as they
+        are; :meth:`remove` cleans up when the session is closed.
+        """
+        with self._lock:
+            self._resident.pop(session_id, None)
+
     def persist(self, session_id: str) -> Path:
         """Write the session's current state to its checkpoint path.
 

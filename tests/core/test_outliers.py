@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import estimate_outliers, soft_threshold, update_error_scale
+from repro.core.outliers import (
+    robust_step,
+    robust_step_at,
+    robust_step_batch,
+    robust_step_batch_at,
+)
+from repro.forecast.robust import biweight_rho, huber_psi
+
+K, CK = 2.0, 2.52
 
 
 class TestSoftThreshold:
@@ -142,3 +154,184 @@ class TestUpdateErrorScale:
         for _ in range(50):
             sigma = update_error_scale(y, yhat, sigma, mask, phi=0.1)
         assert np.all(sigma > 0)
+
+
+# ----------------------------------------------------------------------
+# The fused pass against the composed definitions.
+#
+# The reference keeps Eq. 21-22 as the paper writes them, composed from
+# ``huber_psi`` and ``biweight_rho``.  The fused pass does the same
+# arithmetic in the same order except for the cube of the biweight,
+# ``t*t*t`` in place of ``t**3``, which can differ by one last place.
+# So the outliers must match bit for bit, and each growth factor
+# ``φ ρ(z) + 1 - φ`` (of order one) by at most 4 ulp of the dtype, ε.
+# σ² is the product of the carried σ² and the growth factors of the
+# steps observed at an entry, so the check on σ² propagates that bound:
+# ``|Δσ²| <= 4 ε n ĝⁿ σ²`` for ``n`` observed steps, where ``ĝ`` bounds
+# one factor.  σ itself is held to 4 ulp where it is well conditioned
+# (φ = 0.01); at φ = 1 it is ``σ √ρ(z)``, whose relative error grows
+# without bound as ``ρ(z) -> 0``, for the reference as much as for the
+# fused pass.
+# ----------------------------------------------------------------------
+
+
+def composed_excess(residual, sigma):
+    return residual - huber_psi(residual / sigma, K) * sigma
+
+
+def composed_growth(residual, sigma, phi):
+    return phi * biweight_rho(residual / sigma, K, CK) + (1.0 - phi)
+
+
+def composed_single_scale(residual, sigma, mask, phi):
+    rho = biweight_rho(residual / sigma, K, CK)
+    updated = np.sqrt(phi * rho * sigma**2 + (1.0 - phi) * sigma**2)
+    return np.where(mask, updated, sigma)
+
+
+def composed_batch_scale(residual, sigma, mask, phi):
+    growth = np.where(mask, composed_growth(residual, sigma, phi), 1.0)
+    return sigma * np.sqrt(np.prod(growth, axis=0))
+
+
+@st.composite
+def robust_cases(draw):
+    """Residuals, scales and masks; some residuals sit at exactly k σ."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    phi = draw(st.sampled_from([0.01, 1.0]))
+    n_batch = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 6))
+    sigma = draw(
+        hnp.arrays(dtype, size, elements=st.floats(2.0**-10, 2.0**10, width=32))
+    )
+    z = draw(
+        hnp.arrays(
+            np.float64,
+            (n_batch, size),
+            elements=st.one_of(
+                st.floats(-50.0, 50.0), st.sampled_from([-K, K])
+            ),
+        )
+    )
+    mask = draw(hnp.arrays(np.bool_, (n_batch, size)))
+    # k σ is exact in binary, so |r / σ| == k exactly there.
+    residual = (z * sigma).astype(dtype)
+    # Missing cells may hold NaN; it must not reach any output.
+    residual[~mask] = np.nan
+    return dtype, phi, sigma, residual, mask
+
+
+def _check(outliers, new_sigma, ref_outliers, ref_sigma, sigma, n_obs, phi):
+    dtype = sigma.dtype
+    assert outliers.dtype == dtype
+    assert new_sigma.dtype == dtype
+    np.testing.assert_array_equal(outliers, ref_outliers)
+    eps = float(np.finfo(dtype).eps)
+    g_max = max(1.0, 1.0 - phi + phi * CK)
+    wide = sigma.astype(np.float64)
+    bound = 4.0 * eps * n_obs * g_max**n_obs * wide**2
+    diff = np.abs(
+        new_sigma.astype(np.float64) ** 2 - ref_sigma.astype(np.float64) ** 2
+    )
+    assert np.all(diff <= bound), (diff, bound)
+    if phi < 1.0:
+        np.testing.assert_array_max_ulp(new_sigma, ref_sigma, maxulp=4)
+
+
+class TestFusedPassMatchesComposedDefinitions:
+    @settings(max_examples=150, deadline=None)
+    @given(robust_cases())
+    def test_robust_step(self, case):
+        dtype, phi, sigma, residual, mask = case
+        r, m = residual[0], mask[0]
+        outliers, new_sigma = robust_step(
+            r, np.zeros_like(r), sigma, m, k=K, phi=phi, ck=CK
+        )
+        _check(
+            outliers,
+            new_sigma,
+            np.where(m, composed_excess(r, sigma), 0.0),
+            composed_single_scale(r, sigma, m, phi),
+            sigma,
+            m.astype(int),
+            phi,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_cases())
+    def test_robust_step_at(self, case):
+        dtype, phi, sigma, residual, mask = case
+        r, m = residual[0], mask[0]
+        coords = np.nonzero(m)
+        outliers, new_sigma = robust_step_at(
+            coords,
+            r[coords],
+            np.zeros_like(r[coords]),
+            sigma,
+            k=K,
+            phi=phi,
+            ck=CK,
+        )
+        _check(
+            outliers,
+            new_sigma,
+            composed_excess(r, sigma)[coords],
+            composed_single_scale(r, sigma, m, phi),
+            sigma,
+            m.astype(int),
+            phi,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_cases())
+    def test_robust_step_batch(self, case):
+        dtype, phi, sigma, residual, mask = case
+        outliers, new_sigma = robust_step_batch(
+            residual, np.zeros_like(residual), sigma, mask,
+            k=K, phi=phi, ck=CK,
+        )
+        _check(
+            outliers,
+            new_sigma,
+            np.where(mask, composed_excess(residual, sigma), 0.0),
+            composed_batch_scale(residual, sigma, mask, phi),
+            sigma,
+            mask.sum(axis=0),
+            phi,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_cases())
+    def test_robust_step_batch_at(self, case):
+        dtype, phi, sigma, residual, mask = case
+        coords = np.nonzero(mask)
+        outliers, new_sigma = robust_step_batch_at(
+            coords,
+            residual[coords],
+            np.zeros_like(residual[coords]),
+            sigma,
+            k=K,
+            phi=phi,
+            ck=CK,
+        )
+        _check(
+            outliers,
+            new_sigma,
+            composed_excess(residual, sigma)[coords],
+            composed_batch_scale(residual, sigma, mask, phi),
+            sigma,
+            mask.sum(axis=0),
+            phi,
+        )
+
+    def test_exactly_k_scales_is_not_an_outlier(self):
+        for dtype in (np.float32, np.float64):
+            sigma = np.array([0.3, 1.7, 250.0], dtype=dtype)
+            residual = np.stack([K * sigma, -K * sigma])
+            outliers, _ = robust_step_batch(
+                residual,
+                np.zeros_like(residual),
+                sigma,
+                np.ones(residual.shape, dtype=bool),
+            )
+            np.testing.assert_array_equal(outliers, 0.0)

@@ -149,14 +149,14 @@ class TestScalabilityDriver:
         assert result.steps_r2 > 0.95
         assert result.total_seconds.shape == (4,)
 
-    def test_times_updates_with_process_cpu_clock(self, monkeypatch):
+    def test_times_updates_with_thread_cpu_clock(self, monkeypatch):
         # A fake CPU clock that ticks once per read: every recorded
-        # step then takes exactly one tick, whatever the wall clock or
-        # other processes on the machine do.
+        # step then takes exactly one tick, whatever the wall clock,
+        # other processes or this process's BLAS threads do.
         import time
 
         ticks = iter(range(10_000))
-        monkeypatch.setattr(time, "process_time", lambda: float(next(ticks)))
+        monkeypatch.setattr(time, "thread_time", lambda: float(next(ticks)))
         result = run_scalability(
             row_sizes=(20, 40), n_cols=10, n_steps=40, period=5, rank=2
         )

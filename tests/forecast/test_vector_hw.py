@@ -169,20 +169,42 @@ class TestFromFits:
             VectorHoltWinters.from_fits(fits)
 
 
+def reference_updates(state, values):
+    """Eq. 26a-26c row by row, re-stacking the seasonal buffer."""
+    level, trend, seasonal = state.level, state.trend, state.seasonal
+    for u in values:
+        s_old = seasonal[0]
+        new_level = state.alpha * (u - s_old) + (1.0 - state.alpha) * (
+            level + trend
+        )
+        new_trend = state.beta * (new_level - level) + (
+            1.0 - state.beta
+        ) * trend
+        s_new = state.gamma * (u - level - trend) + (
+            1.0 - state.gamma
+        ) * s_old
+        level, trend = new_level, new_trend
+        seasonal = np.vstack([seasonal[1:], s_new[None, :]])
+    return level, trend, seasonal
+
+
 class TestUpdateMany:
-    def test_matches_repeated_update(self):
+    @pytest.mark.parametrize("n_rows", [1, 3, 7])
+    def test_matches_repeated_update(self, n_rows):
+        # One row, exactly one period, and more rows than the period
+        # (the seasonal buffer wraps within the call).
         rng = np.random.default_rng(2)
-        values = rng.normal(size=(7, 2))
-        one_by_one = make_state()
+        values = rng.normal(size=(n_rows, 2))
+        want = reference_updates(make_state(period=3), values)
+        one_by_one = make_state(period=3)
         for row in values:
             one_by_one.update(row)
-        batched = make_state()
+        batched = make_state(period=3)
         batched.update_many(values)
-        np.testing.assert_array_equal(batched.level, one_by_one.level)
-        np.testing.assert_array_equal(batched.trend, one_by_one.trend)
-        np.testing.assert_array_equal(
-            batched.seasonal, one_by_one.seasonal
-        )
+        for state in (one_by_one, batched):
+            np.testing.assert_array_equal(state.level, want[0])
+            np.testing.assert_array_equal(state.trend, want[1])
+            np.testing.assert_array_equal(state.seasonal, want[2])
 
     def test_wrong_rank_rejected(self):
         state = make_state()

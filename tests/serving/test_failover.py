@@ -580,7 +580,11 @@ class TestChaosReplayGate:
                 "session_churn",
                 url=cluster.url,
                 rate=80.0,
-                slices=40,
+                # Sessions first checkpoint when they initialize, 20
+                # slices in (plus the init flush); 60 slices leave the
+                # kill well inside the sends, so senders on the victim
+                # must retry.
+                slices=60,
                 tiny=True,
                 connect_retry_s=30.0,
             )

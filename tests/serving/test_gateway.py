@@ -310,6 +310,45 @@ class TestNonFiniteLiterals:
         )
 
 
+@pytest.fixture(scope="module")
+def float32_checkpoint(tmp_path_factory):
+    """A fitted float32 model checkpoint."""
+    from repro.core import Sofia
+    from repro.core.serialization import save_sofia
+
+    from tests.serving.conftest import make_config
+
+    config = make_config(dtype="float32")
+    slices, masks = make_session_stream(seed=78, n_steps=config.init_steps)
+    sofia = Sofia(config)
+    sofia.initialize(slices, masks)
+    path = tmp_path_factory.mktemp("ckpt32") / "fitted32.npz"
+    save_sofia(sofia, path)
+    return path
+
+
+class TestFloat32Overflow:
+    """A finite float64 beyond float32's range is an infinity after the
+    cast to a float32 session's dtype: a 400, not a poisoned model."""
+
+    @pytest.mark.parametrize("route", ["slices", "impute"])
+    @pytest.mark.parametrize("encoding", ["json", "binary"])
+    def test_1e300_into_float32_session(
+        self, hop_client, float32_checkpoint, encoding, route
+    ):
+        client = hop_client
+        client.create_session("finite", checkpoint=str(float32_checkpoint))
+        assert client.session_info("finite")["config"]["dtype"] == "float32"
+        _assert_rejected(
+            client,
+            f"{client._base}/sessions/finite/{route}",
+            _slice_body(encoding, "1e300" if encoding == "json" else 1e300),
+            "application/json" if encoding == "json" else wire.MEDIA_TYPE,
+            "ValueError",
+            "finite in float32",
+        )
+
+
 def _binary_slice():
     slices, masks = make_session_stream(seed=25, n_steps=1)
     return slices[0], masks[0]

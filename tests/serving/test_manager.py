@@ -215,6 +215,79 @@ class TestPerSessionBackends:
                 )
 
 
+class TestFiniteValueGuard:
+    """A non-finite observed value never reaches a model, and a flush
+    that leaves non-finite state fails its session."""
+
+    @pytest.mark.parametrize("operation", ["ingest", "impute"])
+    def test_nan_at_observed_cell_rejected(self, checkpoint, operation):
+        slices, masks = make_session_stream(seed=12, n_steps=2)
+        with SessionManager(**DETERMINISTIC) as manager:
+            manager.create_session("s", checkpoint=checkpoint)
+            manager.ingest("s", slices[0], masks[0])
+            before = manager.session_stats("s")["next_seq"]
+            bad = slices[1].copy()
+            mask = np.ones(bad.shape, dtype=bool)
+            bad[2, 1] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                getattr(manager, operation)("s", bad, mask)
+            assert manager.session_stats("s")["next_seq"] == before
+            assert manager.session_info("s")["status"] == "ready"
+
+    def test_nan_at_missing_cell_accepted(self, checkpoint):
+        slices, masks = make_session_stream(seed=13, n_steps=1)
+        values = slices[0].copy()
+        mask = masks[0].copy()
+        mask[0, 0] = False
+        values[0, 0] = np.nan
+        with SessionManager(**DETERMINISTIC) as manager:
+            manager.create_session("s", checkpoint=checkpoint)
+            completed = manager.impute("s", values, mask)
+            assert np.isfinite(completed[0, 0])
+            assert np.isfinite(manager.forecast("s", 2)).all()
+
+    def test_float64_beyond_float32_range_rejected(self):
+        config = make_config(dtype="float32")
+        slices, masks = make_session_stream(seed=14, n_steps=1)
+        values = slices[0].copy()
+        values[1, 1] = 1e300
+        with SessionManager(**DETERMINISTIC) as manager:
+            manager.create_session("s", config)
+            with pytest.raises(ValueError, match="finite in float32"):
+                manager.ingest("s", values, masks[0] | True)
+            assert manager.session_stats("s")["next_seq"] == 0
+
+    def test_poisoned_flush_fails_session_and_keeps_checkpoint(
+        self, checkpoint
+    ):
+        slices, masks = make_session_stream(seed=15, n_steps=8)
+        with SessionManager(**DETERMINISTIC, durable=True) as manager:
+            manager.create_session("s", checkpoint=checkpoint)
+            for t in range(4):
+                manager.ingest("s", slices[t], masks[t])
+            manager.drain("s")
+            durable = manager.store.checkpoint_path("s")
+            saved = durable.read_bytes()
+            model = manager.store.checkout("s")
+            model.state.sigma[0, 0] = np.nan
+            manager.store.checkin("s")
+            for t in range(4, 8):
+                manager.ingest("s", slices[t], masks[t])
+            manager.drain("s")
+
+            info = manager.session_info("s")
+            assert info["status"] == "failed"
+            assert "non-finite" in info["failure"]
+            assert manager.session_stats("s")["status"] == "failed"
+            assert manager.metrics.snapshot()["flush_failures"] == 1
+            # Neither persisted nor spilled over the last good state.
+            assert durable.read_bytes() == saved
+            assert not manager.store.is_resident("s")
+            with pytest.raises(SessionError, match="non-finite"):
+                manager.close_session("s", checkpoint_path=durable)
+            assert durable.read_bytes() == saved
+
+
 class TestValidationAndFailure:
     def test_duplicate_session_rejected(self):
         with SessionManager(**DETERMINISTIC) as manager:

@@ -11,6 +11,7 @@ Pins the contracts of the single executor path:
 Served-vs-offline ``step_batch`` identity lives in ``test_manager.py``.
 """
 
+import copy
 import threading
 import time
 
@@ -278,6 +279,75 @@ class TestExecuteRequest:
             assert 0 <= outliers <= mask.size
         assert np.isfinite(result.error_scale)
         assert result.error_scale > 0.0
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_quality_aggregates_match_per_slice_loop(self, dtype):
+        # The per-slice reference loop the batch-wide reductions
+        # replaced: counts must match exactly, sums to 1e-12 relative.
+        config = make_config(dtype=dtype)
+        n_init = config.init_steps
+        slices, masks = make_session_stream(seed=34, n_steps=n_init + 6)
+        model = Sofia(config)
+        model.initialize(slices[:n_init], masks[:n_init])
+        steps_y = np.stack(slices[n_init:])
+        steps_m = np.stack(masks[n_init:])
+        steps_y[:, 0, 0] += 40.0  # outliers to count
+        steps_y[~steps_m] = np.nan  # missing cells may hold NaN
+        offline = copy.deepcopy(model)
+        steps = offline.step_batch(steps_y, steps_m)
+        (result,) = execute_requests(
+            [_step_request(model, list(steps_y), list(steps_m), range(6))]
+        )
+        assert result.error is None
+        want = []
+        for seq, step, y, m in zip(range(6), steps, steps_y, steps_m):
+            mask = np.asarray(m, dtype=bool)
+            y_arr = np.asarray(y, dtype=float)
+            forecast = np.asarray(step.prediction, dtype=float)
+            residual = np.where(mask, y_arr - forecast, 0.0)
+            signal = np.where(mask, y_arr, 0.0)
+            want.append(
+                (
+                    seq,
+                    int(mask.sum()),
+                    float(np.sum(residual * residual)),
+                    float(np.sum(signal * signal)),
+                    int(np.count_nonzero(np.asarray(step.outliers))),
+                )
+            )
+        assert len(result.quality) == len(want)
+        assert any(q[4] > 0 for q in want)
+        for got, expected in zip(result.quality, want):
+            assert got[0] == expected[0]
+            assert got[1] == expected[1]
+            assert got[4] == expected[4]
+            assert got[2] == pytest.approx(expected[2], rel=1e-12)
+            assert got[3] == pytest.approx(expected[3], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "poison",
+        ["factor", "temporal_buffer", "sigma", "level", "seasonal"],
+    )
+    def test_non_finite_state_becomes_error_result(self, checkpoint, poison):
+        slices, masks = make_session_stream(seed=35, n_steps=2)
+        model = load_sofia(checkpoint)
+        state = model.state
+        target = {
+            "factor": state.non_temporal[0],
+            "temporal_buffer": state.temporal_buffer,
+            "sigma": state.sigma,
+            "level": state.hw.level,
+            "seasonal": state.hw.seasonal,
+        }[poison]
+        target.flat[0] = np.nan
+        (result,) = execute_requests(
+            [_step_request(model, slices, masks, (0, 1))]
+        )
+        assert result.error is not None
+        assert result.error.startswith("FloatingPointError: ")
+        assert "non-finite" in result.error
+        assert result.model is None
+        assert result.results == []
 
     def test_failed_request_echoes_trace_ids_and_drops_state(self):
         request = FlushRequest(
