@@ -165,7 +165,7 @@ def run_kernel_speed_report(
     steps on matrix slices.
     """
     from repro.baselines import Olstec
-    from repro.core import SofiaConfig, dynamic_step, sofia_als
+    from repro.core import SofiaConfig, dynamic_step_batch, sofia_als
     from repro.core.model import SofiaModelState
     from repro.forecast.vector_hw import VectorHoltWinters
     from repro.tensor import kernels, kruskal_to_tensor, random_factors
@@ -202,7 +202,12 @@ def run_kernel_speed_report(
             t=0,
         )
         for t in range(n_dynamic_steps):
-            dynamic_step(state, tensor[..., t], mask[..., t], config)
+            dynamic_step_batch(
+                state,
+                tensor[None, ..., t],
+                mask[None, ..., t],
+                config,
+            )
 
     def olstec_steps():
         algo = Olstec(rank, seed=seed)

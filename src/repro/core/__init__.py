@@ -7,7 +7,7 @@ estimation, smoothness operators, objectives) for tests and ablations.
 
 from repro.core.als import AlsResult, sofia_als
 from repro.core.config import SofiaConfig
-from repro.core.dynamic import dynamic_step, dynamic_step_batch
+from repro.core.dynamic import dynamic_step_batch
 from repro.core.initialization import (
     InitializationResult,
     initialize,
@@ -42,7 +42,6 @@ __all__ = [
     "RankSelectionResult",
     "batch_cost",
     "difference_matrix",
-    "dynamic_step",
     "dynamic_step_batch",
     "estimate_outliers",
     "initialize",

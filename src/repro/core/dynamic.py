@@ -1,4 +1,4 @@
-"""SOFIA dynamic updates: one online step per subtensor (paper Alg. 3).
+"""SOFIA dynamic updates: the online phase of the paper (Alg. 3).
 
 Each step: forecast the temporal vector with Holt-Winters (Eq. 19),
 predict the incoming subtensor (Eq. 20), split off outliers with the
@@ -10,19 +10,22 @@ the temporal vector (Eq. 25), and finally advance the HW components
 is linear in the subtensor size, which coincides with the bound for the
 fully observed streams of the scalability experiment (Fig. 7).
 
-The gradient contractions and Lipschitz bounds route through
-:mod:`repro.tensor.kernels`: the MTTKRP kernel contracts the residual
-against the factors directly (no materialized Khatri-Rao product) and
-the trace bound ``trace(KᵀK)`` comes from per-column norm products.
+There is one implementation, :func:`dynamic_step_batch`, which consumes
+``B`` subtensors per call; a single subtensor is a batch of one
+(:meth:`repro.core.sofia.Sofia.step`), so offline runs and every served
+flush take the same path.  The gradient contractions, predictions and
+completions route through :mod:`repro.tensor.kernels`: the MTTKRP
+kernel contracts the residual stack against the factors directly (no
+materialized Khatri-Rao product) and the trace bound ``trace(KᵀK)``
+comes from per-column norm products.
 
 Sparse routing
 --------------
-When the incoming mask is observed below ``config.density_threshold``
-(5% by default), both :func:`dynamic_step` and
-:func:`dynamic_step_batch` switch to a per-observed-entry execution
-path: the Eq. 21-22 robust split runs only at the observed coordinates
-(:func:`repro.core.outliers.robust_step_at` /
-:func:`~repro.core.outliers.robust_step_batch_at`) and the Eq. 24-25
+When the incoming masks are observed below ``config.density_threshold``
+(5% by default), :func:`dynamic_step_batch` switches to a
+per-observed-entry execution path: the Eq. 21-22 robust split runs only
+at the observed coordinates
+(:func:`~repro.core.outliers.robust_step_batch_at`) and the Eq. 24-25
 gradient contractions gather factor rows per entry
 (:func:`repro.tensor.kernels.mttkrp_observed`) — ``O(|Ω_t| N R)``, the
 bound of Lemma 2, instead of work linear in the subtensor volume.  The
@@ -43,46 +46,34 @@ threshold decides.
 Device residency
 ----------------
 Backends with host↔device converters (the ``"xp"`` backend on a
-non-NumPy array module) get their transfers routed at the *step
+non-NumPy array module) get their transfers routed at the *batch
 boundary*: the factor matrices move to the device once per
-:func:`dynamic_step` / :func:`dynamic_step_batch` call via
+:func:`dynamic_step_batch` call via
 :func:`repro.tensor.kernels.to_device` and every kernel call of the
-step reuses the resident copies; only the kernel *results* that feed
+batch reuses the resident copies; only the kernel *results* that feed
 host-side logic (the robust split, the ``O(R)`` temporal recurrences,
 the returned :class:`~repro.core.model.SofiaStep` arrays) come back
 through :func:`repro.tensor.kernels.from_device`.  For backends
-without converters both hooks are the identity, so the CPU paths are
-untouched (and bit-identical to before).
+without converters both hooks are the identity.
 
-Dtype: both entry points follow ``state.dtype`` (the factors' dtype),
-so a model initialized under ``SofiaConfig(dtype="float32")`` runs its
-whole dynamic phase in float32.
+Dtype: the step follows ``state.dtype`` (the factors' dtype), so a
+model initialized under ``SofiaConfig(dtype="float32")`` runs its whole
+dynamic phase in float32.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.config import SofiaConfig
 from repro.core.model import SofiaModelState, SofiaStep
-from repro.core.outliers import (
-    robust_step,
-    robust_step_at,
-    robust_step_batch,
-    robust_step_batch_at,
-)
+from repro.core.outliers import robust_step_batch, robust_step_batch_at
 from repro.exceptions import ShapeError
-from repro.tensor import kernels, kruskal_to_tensor
+from repro.tensor import kernels
 from repro.tensor.validation import check_mask
 
-__all__ = [
-    "dynamic_step",
-    "dynamic_step_batch",
-    "factor_gradient_step",
-    "temporal_gradient_step",
-]
+__all__ = ["dynamic_step_batch"]
+
 
 def _takes_sparse_path(mask: np.ndarray, config: SofiaConfig) -> bool:
     """Whether this step's tensor-sized work runs per observed entry.
@@ -94,228 +85,6 @@ def _takes_sparse_path(mask: np.ndarray, config: SofiaConfig) -> bool:
     if kernels.active_backend().keeps_dense_steps:
         return False
     return np.count_nonzero(mask) < config.density_threshold * mask.size
-
-
-def factor_gradient_step(
-    residual: np.ndarray,
-    factors: Sequence[np.ndarray],
-    temporal_forecast: np.ndarray,
-    mu: float,
-    *,
-    normalize: bool = True,
-    coords: tuple[np.ndarray, ...] | None = None,
-    device_factors: Sequence | None = None,
-) -> list[np.ndarray]:
-    """Gradient update of all non-temporal factors (Eq. 24).
-
-    ``U^(n)_t = U^(n)_{t-1} + 2μ_n R_(n) (⊙_{l≠n} U^(l)_{t-1}) diag(û)``.
-    All gradients are evaluated at the *previous* factors, so the updates
-    are computed first and applied together.
-
-    With ``normalize=True`` (the default, ``step_normalization =
-    "lipschitz"``) the step size is ``μ / trace(KᵀK)`` where
-    ``K = (⊙_{l≠n} U^(l)) diag(û)`` — a trace upper bound on the Lipschitz
-    constant of the data term's gradient, making the update stable for
-    any ``μ < 1`` regardless of the data's scale.
-
-    With ``coords`` given (the sparse path), ``residual`` is the 1-D
-    vector of residual values at those observed coordinates and the
-    contractions run per entry instead of over the dense subtensor.
-
-    ``device_factors`` (device-resident copies of ``factors``, built
-    once per step by the caller under a backend with device converters)
-    are used for the kernel contractions; the returned factors are
-    always host arrays built from ``factors``.
-    """
-    n_modes = len(factors)
-    mats = factors if device_factors is None else device_factors
-    updated = []
-    for mode in range(n_modes):
-        if coords is None:
-            gradient = kernels.from_device(
-                kernels.mttkrp(
-                    residual, mats, mode, weights=temporal_forecast
-                )
-            )
-        else:
-            gradient = kernels.mttkrp_observed(
-                coords, residual, factors, mode, weights=temporal_forecast
-            )
-        step = mu
-        if normalize:
-            others = [factors[l] for l in range(n_modes) if l != mode]
-            lipschitz = float(
-                np.sum(
-                    kernels.kruskal_column_sq_norms(
-                        others, weights=temporal_forecast
-                    )
-                )
-            )
-            step = mu / max(lipschitz, 1e-12)
-        updated.append(factors[mode] + 2.0 * step * gradient)
-    return updated
-
-
-def temporal_gradient_step(
-    residual: np.ndarray,
-    factors: Sequence[np.ndarray],
-    temporal_forecast: np.ndarray,
-    previous_vector: np.ndarray,
-    season_vector: np.ndarray,
-    config: SofiaConfig,
-    *,
-    coords: tuple[np.ndarray, ...] | None = None,
-    device_factors: Sequence | None = None,
-) -> np.ndarray:
-    """Gradient update of the temporal vector ``u_t`` (Eq. 25).
-
-    Starts from the HW forecast ``û_{t|t-1}`` and descends the local cost,
-    pulling toward the data term plus the lag-1 / lag-m smoothness
-    anchors.  Under ``step_normalization = "lipschitz"`` the step is
-    scaled by ``trace(KᵀK) + λ1 + λ2`` with ``K = ⊙_n U^(n)``.  With
-    ``coords``, ``residual`` holds the values at those observed
-    coordinates (the sparse path).
-    """
-    if coords is None:
-        mats = factors if device_factors is None else device_factors
-        data_term = kernels.from_device(kernels.mttkrp(residual, mats, None))
-    else:
-        data_term = kernels.mttkrp_observed(coords, residual, factors, None)
-    step = config.mu
-    if config.step_normalization == "lipschitz":
-        lipschitz = (
-            float(np.sum(kernels.kruskal_column_sq_norms(factors)))
-            + config.lambda1
-            + config.lambda2
-        )
-        step = config.mu / max(lipschitz, 1e-12)
-    return temporal_forecast + 2.0 * step * (
-        data_term
-        + config.lambda1 * previous_vector
-        + config.lambda2 * season_vector
-        - (config.lambda1 + config.lambda2) * temporal_forecast
-    )
-
-
-def dynamic_step(
-    state: SofiaModelState,
-    subtensor: np.ndarray,
-    mask: np.ndarray,
-    config: SofiaConfig,
-) -> SofiaStep:
-    """Process one incoming subtensor (the body of Alg. 3).
-
-    Mutates ``state`` in place (factors, HW components, error scales,
-    temporal ring buffer, step counter) and returns the per-step outputs.
-    """
-    dtype = state.dtype
-    y = np.asarray(subtensor, dtype=dtype)
-    m = check_mask(mask, state.subtensor_shape)
-    if y.shape != state.subtensor_shape:
-        raise ValueError(
-            f"subtensor shape {y.shape} does not match model "
-            f"{state.subtensor_shape}"
-        )
-    resident = kernels.active_backend().to_device is not None
-    device_factors = (
-        [kernels.to_device(f) for f in state.non_temporal]
-        if resident
-        else None
-    )
-
-    # (1) Forecast the temporal vector and the subtensor (Eq. 19-20).
-    u_forecast = state.hw.forecast_one_step().astype(dtype, copy=False)
-    if resident:
-        prediction = kernels.from_device(
-            kernels.kruskal_reconstruct_rows(
-                device_factors, u_forecast[None, :]
-            )[0]
-        )
-    else:
-        prediction = kruskal_to_tensor(state.non_temporal, weights=u_forecast)
-
-    # (2) Estimate outliers against the forecast (Eq. 21), then advance the
-    #     error scale (Eq. 22) in one fused pass over the shared residual —
-    #     outliers are judged against the *previous* scale, which is
-    #     SOFIA's robustness tweak.  Below the density threshold the
-    #     split runs only at the observed coordinates and ``residual``
-    #     becomes the 1-D vector of values there (the sparse path).
-    if _takes_sparse_path(m, config):
-        coords = np.nonzero(m)
-        observed_values = y[coords]
-        predicted_values = prediction[coords]
-        outlier_values, state.sigma = robust_step_at(
-            coords,
-            observed_values,
-            predicted_values,
-            state.sigma,
-            k=config.huber_k,
-            phi=config.phi,
-            ck=config.biweight_c,
-        )
-        outliers = np.zeros_like(y)
-        outliers[coords] = outlier_values
-        residual = observed_values - outlier_values - predicted_values
-    else:
-        coords = None
-        outliers, state.sigma = robust_step(
-            y,
-            prediction,
-            state.sigma,
-            m,
-            k=config.huber_k,
-            phi=config.phi,
-            ck=config.biweight_c,
-        )
-        residual = np.where(m, y - outliers - prediction, 0.0)
-
-    # (3) Gradient steps on the factors (Eq. 24) and the temporal vector
-    #     (Eq. 25), both evaluated at the previous factors.  Under a
-    #     device backend the residual moves to the device once and the
-    #     contractions reuse the resident factor copies.
-    if resident and coords is None:
-        residual = kernels.to_device(residual)
-    new_factors = factor_gradient_step(
-        residual,
-        state.non_temporal,
-        u_forecast,
-        config.mu,
-        normalize=config.step_normalization == "lipschitz",
-        coords=coords,
-        device_factors=device_factors,
-    )
-    u_new = temporal_gradient_step(
-        residual,
-        state.non_temporal,
-        u_forecast,
-        state.previous_vector,
-        state.season_vector,
-        config,
-        coords=coords,
-        device_factors=device_factors,
-    )
-    state.non_temporal = new_factors
-
-    # (4) Advance the Holt-Winters components (Eq. 26) and bookkeeping.
-    state.hw.update(u_new)
-    state.push_temporal(u_new)
-    state.t += 1
-
-    if resident:
-        completed = kernels.from_device(
-            kernels.kruskal_reconstruct_rows(
-                [kernels.to_device(f) for f in new_factors], u_new[None, :]
-            )[0]
-        )
-    else:
-        completed = kruskal_to_tensor(state.non_temporal, weights=u_new)
-    return SofiaStep(
-        completed=completed,
-        outliers=outliers,
-        prediction=prediction,
-        temporal_forecast=u_forecast,
-        temporal_vector=u_new,
-    )
 
 
 def dynamic_step_batch(
@@ -341,16 +110,17 @@ def dynamic_step_batch(
     module docstring) — on large sparse batches this skips the dense
     element-wise robust pass over the stacked batch entirely.
 
-    Semantics relative to the sequential :func:`dynamic_step` trajectory:
-
-    * ``B = 1`` delegates to :func:`dynamic_step` and is bit-identical.
-    * ``B > 1`` freezes the factor matrices at the batch boundary and
-      forecasts the temporal vectors ``B`` steps ahead with Eq. 28 (the
-      same multi-step forecast the paper uses beyond the stream), so it
-      is a mini-batch gradient step: within-batch factor drift of the
-      sequential trajectory — ``O(B μ)`` per batch — is applied once at
-      the end instead of incrementally.  The parity suite pins the
-      resulting trajectory deviation.
+    This is the only implementation of Alg. 3: :meth:`Sofia.step` calls
+    it with ``B = 1``, where freezing the factors and the error scale at
+    the batch boundary changes nothing and the step is exactly the
+    sequential update.  ``B > 1``
+    freezes the factor matrices at the batch boundary and forecasts the
+    temporal vectors ``B`` steps ahead with Eq. 28 (the same multi-step
+    forecast the paper uses beyond the stream), so it is a mini-batch
+    gradient step: within-batch factor drift of the sequential
+    trajectory — ``O(B μ)`` per batch — is applied once at the end
+    instead of incrementally.  The parity suite pins the resulting
+    trajectory deviation.
 
     Mutates ``state`` in place and returns one :class:`SofiaStep` per
     subtensor, oldest first.
@@ -366,8 +136,6 @@ def dynamic_step_batch(
     if n_batch == 0:
         raise ShapeError("mini-batch must contain at least one subtensor")
     ms = check_mask(masks, ys.shape)
-    if n_batch == 1:
-        return [dynamic_step(state, ys[0], ms[0], config)]
 
     factors = state.non_temporal
     n_modes = len(factors)
@@ -394,11 +162,11 @@ def dynamic_step_batch(
     #     very large sparse batches, is skipped entirely — and the
     #     gradient contractions gather per entry.
     if _takes_sparse_path(ms, config):
-        batch_coords = np.nonzero(ms)
-        observed_values = ys[batch_coords]
-        predicted_values = predictions[batch_coords]
+        coords = np.nonzero(ms)
+        observed_values = ys[coords]
+        predicted_values = predictions[coords]
         outlier_values, state.sigma = robust_step_batch_at(
-            batch_coords,
+            coords,
             observed_values,
             predicted_values,
             state.sigma,
@@ -407,15 +175,13 @@ def dynamic_step_batch(
             ck=config.biweight_c,
         )
         outliers = np.zeros_like(ys)
-        outliers[batch_coords] = outlier_values
+        outliers[coords] = outlier_values
         residual_values = observed_values - outlier_values - predicted_values
-        # Batch index last, matching the time-last dense stacking below.
-        coords = batch_coords[1:] + (batch_coords[0],)
-        kernel_factors = list(factors)
+        kernel_factors = factors
         batch_weights = u_forecasts
 
         def contract(mats, mode):
-            dim = n_batch if mode == n_modes else None
+            dim = n_batch if mode == 0 else None
             return kernels.mttkrp_observed(
                 coords, residual_values, mats, mode, dim=dim
             )
@@ -429,16 +195,17 @@ def dynamic_step_batch(
             phi=config.phi,
             ck=config.biweight_c,
         )
-        residuals = np.where(ms, ys - outliers - predictions, 0.0)
-        stacked = kernels.to_device(np.moveaxis(residuals, 0, -1))
-        kernel_factors = list(dev_factors)
+        residuals = kernels.to_device(
+            np.where(ms, ys - outliers - predictions, 0.0)
+        )
+        kernel_factors = dev_factors
         batch_weights = dev_forecasts
 
         def contract(mats, mode):
-            return kernels.mttkrp(stacked, mats, mode)
+            return kernels.mttkrp(residuals, mats, mode)
 
     # (3) Mini-batch gradient steps (Eq. 24-25) at the frozen factors.
-    #     Stacking the residuals time-last and contracting the batch axis
+    #     The residual stack keeps the batch as axis 0; contracting it
     #     against the forecast-weight matrix turns the summed per-step
     #     MTTKRPs into one kernel call per mode.  Under the Lipschitz
     #     normalization the summed data term of the batch has trace bound
@@ -460,13 +227,13 @@ def dynamic_step_batch(
         if normalize:
             step = config.mu / max(float(np.sum(w_sq @ prod_others)), 1e-12)
         gradient = kernels.from_device(
-            contract(kernel_factors + [batch_weights], mode)
+            contract([batch_weights, *kernel_factors], mode + 1)
         )
         new_factors.append(factors[mode] + 2.0 * step * gradient)
 
     # Contracting every *non-batch* axis leaves the (B, R) data terms of
     # Eq. 25; the batch-axis slot of the matrix list is never read.
-    data_terms = kernels.from_device(contract(kernel_factors + [None], n_modes))
+    data_terms = kernels.from_device(contract([None, *kernel_factors], 0))
     step_u = config.mu
     if normalize:
         prod_all = np.ones(rank)

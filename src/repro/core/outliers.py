@@ -4,12 +4,13 @@ These are the tensor-valued extensions of the robust-HW primitives in
 :mod:`repro.forecast.robust`: outliers are whatever part of the observed
 residual survives the Huber clipping, and each entry carries its own
 exponentially smoothed error scale.  :func:`robust_step` fuses the two
-updates over one shared residual, which is what the dynamic phase calls
-once per incoming subtensor.
+updates over one shared residual of one subtensor;
+:func:`robust_step_batch` is the form the dynamic phase calls, once per
+mini-batch (a single subtensor is a batch of one).
 
-All four step forms — dense and observed-coordinate, single slice and
-mini-batch (:func:`robust_step`, :func:`robust_step_at`,
-:func:`robust_step_batch`, :func:`robust_step_batch_at`) — and the two
+All three step forms — the dense single-slice :func:`robust_step`
+and the mini-batch :func:`robust_step_batch` with its
+observed-coordinate form :func:`robust_step_batch_at` — and the two
 single-purpose wrappers run the same element-wise pass,
 ``_robust_terms``: it computes ``z = r/σ`` once and returns the Huber
 excess and the biweight growth factor ``φ ρ(z) + 1 - φ`` from in-place
@@ -37,7 +38,6 @@ from repro.tensor.validation import (
 __all__ = [
     "estimate_outliers",
     "robust_step",
-    "robust_step_at",
     "robust_step_batch",
     "robust_step_batch_at",
     "soft_threshold",
@@ -171,52 +171,6 @@ def robust_step(
     np.sqrt(growth, out=growth)
     growth *= sg
     return np.where(m, excess, 0.0), np.where(m, growth, sg)
-
-
-def robust_step_at(
-    coords: tuple[np.ndarray, ...],
-    observed_values: np.ndarray,
-    predicted_values: np.ndarray,
-    sigma: np.ndarray,
-    *,
-    k: float = 2.0,
-    phi: float = 0.01,
-    ck: float = 2.52,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`robust_step` restricted to the observed coordinates.
-
-    The dense form spends ``O(prod(dims))`` element-wise ψ/ρ work per
-    step even when only a few percent of the entries are observed; this
-    form gathers ``Σ`` at ``coords`` and touches nothing else, which is
-    exactly the Eq. 21-22 semantics (missing entries carry no outlier
-    and keep their previous scale).
-
-    Parameters
-    ----------
-    coords:
-        Tuple of index arrays (one per mode) of the observed entries —
-        each coordinate must appear at most once.
-    observed_values, predicted_values:
-        ``Y_t`` and ``X̂_t`` gathered at ``coords``.
-    sigma:
-        Dense error-scale tensor carried into the step (not mutated).
-
-    Returns
-    -------
-    (outlier_values, new_sigma):
-        Outlier estimates aligned with ``coords`` (1-D) and the dense
-        advanced scale.
-    """
-    y = _as_float(observed_values)
-    yhat = _as_float(predicted_values)
-    sg = _as_float(sigma)
-    sg_values = sg[coords]
-    outlier_values, growth = _robust_terms(
-        y - yhat, sg_values, k=k, phi=phi, ck=ck
-    )
-    new_sigma = sg.copy()
-    new_sigma[coords] = sg_values * np.sqrt(growth)
-    return outlier_values, new_sigma
 
 
 def robust_step_batch_at(

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.core.config import SofiaConfig
-from repro.core.dynamic import dynamic_step, dynamic_step_batch
+from repro.core.dynamic import dynamic_step_batch
 from repro.core.initialization import (
     InitializationResult,
     initialize,
@@ -29,7 +29,7 @@ from repro.core.model import SofiaModelState, SofiaStep
 from repro.exceptions import NotFittedError, ShapeError
 from repro.forecast.fitting import fit_holt_winters
 from repro.forecast.vector_hw import VectorHoltWinters
-from repro.tensor import kruskal_to_tensor
+from repro.tensor import kernels
 from repro.tensor.validation import check_mask
 
 __all__ = ["Sofia"]
@@ -141,11 +141,10 @@ class Sofia:
     ) -> SofiaStep:
         """Consume one new subtensor ``Y_t`` online (Alg. 3).
 
-        Subtensors observed below ``config.density_threshold`` are
-        routed through the sparse execution path (robust split and
-        gradient contractions per observed entry; see
-        :func:`repro.core.dynamic.dynamic_step`) — same results, work
-        proportional to the observed entries.
+        A single subtensor is a mini-batch of one: this is
+        ``step_batch(subtensor[None], mask[None])[0]``, bit for bit.
+        Subtensors observed below ``config.density_threshold`` take the
+        sparse execution path (see :meth:`step_batch`).
 
         Parameters
         ----------
@@ -159,11 +158,9 @@ class Sofia:
         SofiaStep
             Completed subtensor, outlier estimate, and diagnostics.
         """
-        state = self._require_state()
         y = np.asarray(subtensor, dtype=self.config.np_dtype)
-        if mask is None:
-            mask = np.ones(y.shape, dtype=bool)
-        return dynamic_step(state, y, mask, self.config)
+        m = None if mask is None else np.asarray(mask)[None]
+        return self.step_batch(y[None], m)[0]
 
     def step_batch(
         self,
@@ -172,13 +169,14 @@ class Sofia:
     ) -> list[SofiaStep]:
         """Consume ``B`` subtensors as one mini-batch (batched Alg. 3).
 
-        The tensor-sized work of the whole batch runs through one kernel
-        call per operation instead of ``B`` per-step dispatches; see
+        This is the one implementation of the dynamic phase: the
+        tensor-sized work of the whole batch runs through one kernel
+        call per operation, and :meth:`step` is a batch of one.  See
         :func:`repro.core.dynamic.dynamic_step_batch` for the exact
-        semantics (``B = 1`` is bit-identical to :meth:`step`, ``B > 1``
-        freezes the factors at the batch boundary).  Batches observed
-        below ``config.density_threshold`` skip the dense robust pass
-        and contract gradients per observed entry (the sparse path).
+        semantics (``B > 1`` freezes the factors at the batch boundary).
+        Batches observed below ``config.density_threshold`` skip the
+        dense robust pass and contract gradients per observed entry
+        (the sparse path).
 
         Parameters
         ----------
@@ -207,13 +205,11 @@ class Sofia:
     ) -> list[SofiaStep]:
         """Consume ``(subtensor, mask)`` pairs; returns all step results.
 
-        With ``config.batch_size > 1`` the stream is consumed in
-        mini-batch chunks through :meth:`step_batch` (the final chunk may
-        be smaller); per-step results are returned either way.
+        The stream is consumed in chunks of ``config.batch_size``
+        through :meth:`step_batch` (the final chunk may be smaller);
+        per-step results are returned either way.
         """
         batch = self.config.batch_size
-        if batch == 1:
-            return [self.step(y_t, m_t) for y_t, m_t in stream]
         results: list[SofiaStep] = []
         pending: list[tuple[np.ndarray, np.ndarray | None]] = []
         for pair in stream:
@@ -277,13 +273,7 @@ class Sofia:
         u_future = state.hw.forecast(horizon).astype(
             state.dtype, copy=False
         )
-        return np.stack(
-            [
-                kruskal_to_tensor(state.non_temporal, weights=u_future[h])
-                for h in range(horizon)
-            ],
-            axis=0,
-        )
+        return kernels.kruskal_reconstruct_rows(state.non_temporal, u_future)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -98,13 +98,12 @@ class VectorHoltWinters:
         """
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
-        steps = np.arange(1, horizon + 1)
-        seasonal_idx = (steps - 1) % self.period
-        return (
-            self.level[None, :]
-            + steps[:, None] * self.trend[None, :]
-            + self.seasonal[seasonal_idx]
+        forecast = np.arange(1.0, horizon + 1.0)[:, None] * self.trend
+        forecast += self.level
+        forecast += self.seasonal.take(
+            np.arange(horizon) % self.period, axis=0
         )
+        return forecast
 
     def update(self, value: np.ndarray) -> None:
         """Advance the state with the new temporal vector (Eq. 26a-26c)."""

@@ -153,6 +153,7 @@ a different (but equally valid) row ordering.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Callable, Sequence
@@ -221,8 +222,14 @@ def _ridge_for(dtype: Any) -> float:
     return float(np.finfo(dt).eps) * 1e3
 
 
+_FLOAT32 = np.dtype(np.float32)
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _dtype_of(array: Any) -> np.dtype:
     """NumPy dtype of an array-like, device arrays included."""
+    if isinstance(array, np.ndarray):
+        return array.dtype
     dtype = getattr(array, "dtype", None)
     if dtype is None:
         return np.asarray(array).dtype
@@ -254,17 +261,16 @@ def result_dtype(*arrays: Any) -> np.dtype:
     pinned = active_backend().dtype
     if pinned is not None:
         return np.dtype(pinned)
-    floats = [
-        dt
-        for dt in (_dtype_of(a) for a in arrays if a is not None)
-        if dt.kind == "f"
-    ]
-    if not floats:
-        return np.dtype(np.float64)
+    floats = set()
+    for array in arrays:
+        if array is not None:
+            dt = _dtype_of(array)
+            if dt.kind == "f":
+                floats.add(dt)
+    if not floats or _FLOAT64 in floats:
+        return _FLOAT64
     common = np.result_type(*floats)
-    if common in (np.dtype(np.float32), np.dtype(np.float64)):
-        return common
-    return np.dtype(np.float64)
+    return common if common == _FLOAT32 else _FLOAT64
 
 
 # ---------------------------------------------------------------------------
@@ -512,37 +518,50 @@ def _dense_mttkrp_chain(
     tensor: np.ndarray,
     mats: Sequence[np.ndarray | None],
     mode: int | None,
+    dtype: np.dtype,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """MTTKRP as a chain of tensordot / broadcast-multiply-sum contractions.
+    """MTTKRP as a chain of matmul / broadcast-multiply-sum contractions.
 
     Contracts every mode except ``mode`` against the matching matrix in
     ``mats`` (whose entry at ``mode`` is ignored), tying all contractions
     to one shared trailing column index.  Equivalent to
     ``unfold(tensor, mode) @ (khatri_rao(others) * weights)`` but without
     materializing the Khatri-Rao matrix and without per-call einsum-path
-    overhead (the first contraction is a BLAS ``tensordot``).
+    overhead.  ``dtype`` is the caller's :func:`result_dtype`.
+
+    The longest axis contracts first (ties: the higher axis first), as
+    one BLAS matmul — the transpose-reshape-matmul that ``tensordot``
+    runs, without its Python overhead — so every later
+    broadcast-multiply-sum runs over the smallest remaining temporary: a
+    length-1 batch axis then costs one small sum, not a full-size
+    product.
     """
-    ndim = tensor.ndim
-    dtype = result_dtype(
-        tensor, weights, *[m for m in mats if m is not None]
+    order = sorted(
+        (axis for axis in range(tensor.ndim) if axis != mode),
+        key=lambda axis: (tensor.shape[axis], axis),
+        reverse=True,
     )
-    others = [axis for axis in range(ndim) if axis != mode]
     out = np.asarray(tensor, dtype=dtype)
-    appended = False
-    # Descending order keeps every remaining mode at its original axis.
-    for axis in sorted(others, reverse=True):
+    if not order:
+        return out
+    first = order[0]
+    mat = np.asarray(mats[first], dtype=dtype)
+    if weights is not None:
+        mat = mat * np.asarray(weights, dtype=dtype)[None, :]
+    live = [axis for axis in range(out.ndim) if axis != first]
+    kept = [out.shape[axis] for axis in live]
+    out = (
+        out.transpose(live + [first]).reshape(math.prod(kept), len(mat)) @ mat
+    ).reshape(kept + [mat.shape[1]])
+    for axis in order[1:]:
+        pos = live.index(axis)
+        del live[pos]
         mat = np.asarray(mats[axis], dtype=dtype)
-        if not appended:
-            if weights is not None:
-                mat = mat * np.asarray(weights, dtype=dtype)[None, :]
-            out = np.tensordot(out, mat, axes=([axis], [0]))
-            appended = True
-        else:
-            broadcast = [1] * out.ndim
-            broadcast[axis] = mat.shape[0]
-            broadcast[-1] = mat.shape[1]
-            out = (out * mat.reshape(broadcast)).sum(axis=axis)
+        broadcast = [1] * out.ndim
+        broadcast[pos] = mat.shape[0]
+        broadcast[-1] = mat.shape[1]
+        out = (out * mat.reshape(broadcast)).sum(axis=pos)
     return out
 
 
@@ -582,12 +601,12 @@ def _batched_accumulate_normal_equations(
     dense_values[coords] = values
     indicator = np.zeros(shape, dtype=dtype)
     indicator[coords] = 1.0
-    big_c = _dense_mttkrp_chain(dense_values, factors, mode)
+    big_c = _dense_mttkrp_chain(dense_values, factors, mode, dtype)
     pairs = [
         (f[:, :, None] * f[:, None, :]).reshape(f.shape[0], rank * rank)
         for f in factors
     ]
-    big_b = _dense_mttkrp_chain(indicator, pairs, mode).reshape(
+    big_b = _dense_mttkrp_chain(indicator, pairs, mode, dtype).reshape(
         shape[mode], rank, rank
     )
     return big_b, big_c
@@ -663,7 +682,7 @@ def _batched_mttkrp(
             else np.ones((1, rank), dtype=dtype)
         )
         return tensor[:, None] * row
-    return _dense_mttkrp_chain(tensor, factors, mode, weights)
+    return _dense_mttkrp_chain(tensor, factors, mode, dtype, weights)
 
 
 def _batched_rls_update_rows(

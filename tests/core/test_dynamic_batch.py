@@ -1,17 +1,24 @@
 """Parity suite for the mini-batch dynamic engine (``dynamic_step_batch``).
 
-Pins the ``step_batch`` trajectory to the sequential ``step`` trajectory:
-``B = 1`` must be bit-identical, and ``B in {4, 16}`` must stay within the
-documented mini-batch tolerance (factors frozen at the batch boundary and
-multi-step HW forecasts introduce an ``O(B mu)`` within-batch deviation;
-see ``dynamic_step_batch``).
+``Sofia.step`` is ``step_batch`` of one, so the sequential trajectory is
+the ``B = 1`` trajectory bit for bit; ``B in {4, 16}`` must stay within
+the documented mini-batch tolerance of it (factors frozen at the batch
+boundary and multi-step HW forecasts introduce an ``O(B mu)``
+within-batch deviation; see ``dynamic_step_batch``).
 """
+
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Sofia, SofiaConfig, robust_step, robust_step_batch
+from repro.core.model import SofiaModelState
 from repro.exceptions import ShapeError
+from repro.forecast.vector_hw import VectorHoltWinters
+from repro.tensor import kernels
 from repro.streams import CorruptionSpec, corrupt
 from tests.core.conftest import make_seasonal_stream
 
@@ -121,6 +128,85 @@ class TestBatchOfOneIsBitIdentical:
         np.testing.assert_array_equal(
             seq.forecast(24), bat.forecast(24)
         )
+
+
+def _random_model(config, seed, dims=(6, 5)):
+    rng = np.random.default_rng(seed)
+    rank, period = config.rank, config.period
+    dtype = config.np_dtype
+    buffer = rng.uniform(0.5, 1.5, size=(period, rank))
+    state = SofiaModelState(
+        non_temporal=[
+            rng.uniform(0.2, 1.0, size=(d, rank)).astype(dtype) for d in dims
+        ],
+        temporal_buffer=buffer.astype(dtype),
+        hw=VectorHoltWinters(
+            level=buffer[-1],
+            trend=rng.normal(0.0, 0.01, size=rank),
+            seasonal=rng.normal(0.0, 0.1, size=(period, rank)),
+            alpha=np.full(rank, 0.3),
+            beta=np.full(rank, 0.05),
+            gamma=np.full(rank, 0.2),
+        ),
+        sigma=np.full(dims, 0.1, dtype=dtype),
+        t=3 * period,
+    )
+    return Sofia.from_state(config, state)
+
+
+class TestStepIsBatchOfOne:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from(["float32", "float64"]),
+        sparse=st.booleans(),
+        observed=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+        nan_missing=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_step_equals_step_batch_of_one(
+        self, dtype, sparse, observed, nan_missing, seed
+    ):
+        # The sparse route needs a backend that lets the step bypass its
+        # dense kernels; the dense route is forced by a zero threshold.
+        config = SofiaConfig(
+            rank=2,
+            period=4,
+            lambda1=0.1,
+            lambda2=0.1,
+            dtype=dtype,
+            density_threshold=1.0 if sparse else 0.0,
+        )
+        backend = "sparse" if sparse else kernels.active_backend().name
+        single = _random_model(config, seed)
+        batched = Sofia.from_state(config, copy.deepcopy(single.state))
+        rng = np.random.default_rng(seed + 1)
+        with kernels.use_backend(backend):
+            for _ in range(3):
+                y = rng.normal(1.0, 0.5, size=(6, 5))
+                m = rng.random((6, 5)) < observed
+                if nan_missing:
+                    y[~m] = np.nan
+                one = single.step(y, m)
+                (first,) = batched.step_batch(y[None], m[None])
+                for name in (
+                    "completed",
+                    "outliers",
+                    "prediction",
+                    "temporal_forecast",
+                    "temporal_vector",
+                ):
+                    np.testing.assert_array_equal(
+                        getattr(one, name), getattr(first, name)
+                    )
+                    assert np.all(np.isfinite(getattr(one, name)))
+                assert one.completed.dtype == np.dtype(dtype)
+        a, b = single.state, batched.state
+        for f_a, f_b in zip(a.non_temporal, b.non_temporal):
+            np.testing.assert_array_equal(f_a, f_b)
+        np.testing.assert_array_equal(a.sigma, b.sigma)
+        np.testing.assert_array_equal(a.temporal_buffer, b.temporal_buffer)
+        np.testing.assert_array_equal(a.hw.seasonal, b.hw.seasonal)
+        assert a.t == b.t
 
 
 class TestMiniBatchTolerance:

@@ -1,7 +1,7 @@
 """Sparse-path routing of the dynamic phase (density_threshold).
 
-The sparse execution path of :func:`dynamic_step` /
-:func:`dynamic_step_batch` must reproduce the dense path's trajectory
+The sparse execution path of :func:`dynamic_step_batch` (and so of
+:meth:`Sofia.step`, a batch of one) must reproduce the dense path's trajectory
 (the arithmetic at observed entries is identical — only the execution
 strategy changes) and must engage exactly below the configured observed
 fraction.
@@ -13,7 +13,6 @@ import pytest
 from repro.core import Sofia, SofiaConfig
 from repro.core.outliers import (
     robust_step,
-    robust_step_at,
     robust_step_batch,
     robust_step_batch_at,
 )
@@ -123,13 +122,13 @@ class TestSparseDensePathParity:
         import repro.core.dynamic as dynamic_module
 
         calls = []
-        original = dynamic_module.robust_step_at
+        original = dynamic_module.robust_step_batch_at
 
         def probe(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dynamic_module, "robust_step_at", probe)
+        monkeypatch.setattr(dynamic_module, "robust_step_batch_at", probe)
         period = 6
         data = seasonal_stream(period=period)
         config = SofiaConfig(
@@ -174,7 +173,7 @@ class TestSparseDensePathParity:
 
 
 class TestRobustStepAt:
-    def test_matches_dense_robust_step(self):
+    def test_batch_of_one_matches_dense_robust_step(self):
         rng = np.random.default_rng(0)
         shape = (15, 11)
         y = rng.normal(size=shape)
@@ -185,8 +184,14 @@ class TestRobustStepAt:
         outliers_dense, sigma_dense = robust_step(
             y, yhat, sigma, mask, k=2.0, phi=0.05, ck=2.52
         )
-        outlier_values, sigma_sparse = robust_step_at(
-            coords, y[coords], yhat[coords], sigma, k=2.0, phi=0.05, ck=2.52
+        outlier_values, sigma_sparse = robust_step_batch_at(
+            np.nonzero(mask[None]),
+            y[coords],
+            yhat[coords],
+            sigma,
+            k=2.0,
+            phi=0.05,
+            ck=2.52,
         )
         np.testing.assert_allclose(
             outlier_values, outliers_dense[coords], atol=1e-12
@@ -199,8 +204,8 @@ class TestRobustStepAt:
         rng = np.random.default_rng(1)
         sigma = 0.5 + rng.random((6, 4))
         original = sigma.copy()
-        coords = (np.array([0, 2]), np.array([1, 3]))
-        robust_step_at(
+        coords = (np.array([0, 0]), np.array([0, 2]), np.array([1, 3]))
+        robust_step_batch_at(
             coords, np.array([5.0, -3.0]), np.array([0.0, 0.0]), sigma
         )
         np.testing.assert_array_equal(sigma, original)

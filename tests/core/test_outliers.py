@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core import estimate_outliers, soft_threshold, update_error_scale
 from repro.core.outliers import (
     robust_step,
-    robust_step_at,
     robust_step_batch,
     robust_step_batch_at,
 )
@@ -259,11 +258,13 @@ class TestFusedPassMatchesComposedDefinitions:
 
     @settings(max_examples=150, deadline=None)
     @given(robust_cases())
-    def test_robust_step_at(self, case):
+    def test_robust_step_batch_at_one_slice(self, case):
+        # A batch of one (the sparse form of Sofia.step) against the
+        # single-slice definitions of Eq. 21-22.
         dtype, phi, sigma, residual, mask = case
-        r, m = residual[0], mask[0]
+        r, m = residual[:1], mask[:1]
         coords = np.nonzero(m)
-        outliers, new_sigma = robust_step_at(
+        outliers, new_sigma = robust_step_batch_at(
             coords,
             r[coords],
             np.zeros_like(r[coords]),
@@ -275,10 +276,10 @@ class TestFusedPassMatchesComposedDefinitions:
         _check(
             outliers,
             new_sigma,
-            composed_excess(r, sigma)[coords],
-            composed_single_scale(r, sigma, m, phi),
+            composed_excess(r[0], sigma)[coords[1:]],
+            composed_single_scale(r[0], sigma, m[0], phi),
             sigma,
-            m.astype(int),
+            m[0].astype(int),
             phi,
         )
 

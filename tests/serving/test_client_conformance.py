@@ -16,6 +16,7 @@ contract that lets callers switch transports without changing code;
 bit-identical over every one.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -216,48 +217,42 @@ class TestSharedErrors:
             client.forecast("cold", 2)
 
 
-class TestDeprecationShims:
-    """Release N-1 idioms still work, warning once each."""
+class TestResultsArePlainRecords:
+    """Results are dataclasses and nothing else: no int, tuple or dict."""
 
-    def test_ack_as_int(self, client):
+    def test_acks_differing_only_in_trace_id_compare_equal(self, client):
+        slices, masks = make_session_stream(seed=41, n_steps=1)
+        client.create_session("s", dict(CONFIG_KWARGS))
+        ack = client.ingest("s", slices[0], masks[0], trace_id="t-1")
+        assert ack == IngestAck(session_id="s", seq=0)
+        assert ack == dataclasses.replace(ack, trace_id="t-2")
+        assert ack != dataclasses.replace(ack, seq=1)
+
+    def test_ack_is_not_an_int(self, client):
         slices, masks = make_session_stream(seed=41, n_steps=1)
         client.create_session("s", dict(CONFIG_KWARGS))
         ack = client.ingest("s", slices[0], masks[0])
-        with pytest.deprecated_call():
-            assert int(ack) == 0
-        with pytest.deprecated_call():
-            assert ack == 0
+        assert ack.seq == 0
+        with pytest.raises(TypeError):
+            int(ack)
+        assert (ack == 0) is False
 
-    def test_slice_result_unpacks(self, client):
+    def test_slice_result_does_not_unpack(self, client):
         _warm_session(client, n_steps=12)
-        results = client.results("s")
-        with pytest.deprecated_call():
-            seq, completed = results[0]
-        assert seq == results[0].seq
-        np.testing.assert_array_equal(completed, results[0].completed)
+        result = client.results("s")[0]
+        with pytest.raises(TypeError):
+            seq, completed = result
 
-    def test_results_as_arrays(self, client):
+    def test_results_have_no_item_access(self, client):
         slices, masks = _warm_session(client, n_steps=12)
-        imputed = client.impute("s", slices[0], masks[0])
-        with pytest.deprecated_call():
-            as_array = np.asarray(imputed)
-        np.testing.assert_array_equal(as_array, imputed.completed)
-        forecast = client.forecast("s", 2)
-        with pytest.deprecated_call():
-            as_array = np.asarray(forecast)
-        np.testing.assert_array_equal(as_array, forecast.forecast)
-
-    def test_dict_style_field_access(self, client):
-        slices, masks = _warm_session(client, n_steps=12)
-        imputed = client.impute("s", slices[0], masks[0])
-        with pytest.deprecated_call():
-            completed = imputed["completed"]
-        np.testing.assert_array_equal(completed, imputed.completed)
-        with pytest.deprecated_call():
-            assert imputed.get("session_id") == "s"
-        with pytest.raises(KeyError):
-            with pytest.deprecated_call():
-                imputed["nope"]
+        results = [
+            client.results("s")[0],
+            client.impute("s", slices[0], masks[0]),
+            client.forecast("s", 2),
+        ]
+        for result in results:
+            with pytest.raises(TypeError):
+                result["seq"]
 
 
 def _drive(client, dtype):
