@@ -109,9 +109,3 @@ class SofiaModelState:
         """``u_{t-m}``."""
         return self.temporal_buffer[0]
 
-    def push_temporal(self, vector: np.ndarray) -> None:
-        """Append ``u_t`` to the ring buffer, dropping ``u_{t-m}``."""
-        v = np.asarray(vector, dtype=self.temporal_buffer.dtype).reshape(1, -1)
-        if v.shape[1] != self.rank:
-            raise ShapeError(f"expected a length-{self.rank} vector")
-        self.temporal_buffer = np.vstack([self.temporal_buffer[1:], v])

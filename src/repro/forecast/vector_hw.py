@@ -87,10 +87,6 @@ class VectorHoltWinters:
             gamma=np.array([f.params.gamma for f in fits]),
         )
 
-    def forecast_one_step(self) -> np.ndarray:
-        """``u_hat_{t|t-1} = l_{t-1} + b_{t-1} + s_{t-m}`` (Eq. 19)."""
-        return self.level + self.trend + self.seasonal[0]
-
     def forecast(self, horizon: int) -> np.ndarray:
         """Forecast ``horizon`` future temporal vectors (Eq. 6 per column).
 

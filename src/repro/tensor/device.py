@@ -1,9 +1,11 @@
 """Array-module selection for the ``"xp"`` kernel backend.
 
-The ``"xp"`` backend in :mod:`repro.tensor.kernels` implements the six
-seam kernels once, against the Python Array API standard, and runs that
-single implementation on whatever array library this module selects —
-NumPy, torch (CPU or CUDA), or CuPy.  This module owns the selection:
+The six dense kernel bodies in :mod:`repro.tensor.kernels` are written
+once, against the Python Array API standard, with the array namespace
+passed in explicitly.  The ``"batched"`` backend binds them to NumPy;
+the ``"xp"`` backend runs the same bodies, behind one host↔device
+boundary, on whatever array library this module selects — NumPy, torch
+(CPU or CUDA), or CuPy.  This module owns the selection:
 
 * :func:`set_array_module` / :func:`get_array_module` /
   :func:`use_array_module` pick the active array namespace by name
@@ -13,8 +15,9 @@ NumPy, torch (CPU or CUDA), or CuPy.  This module owns the selection:
   import-time module, mirroring ``REPRO_KERNEL_BACKEND`` — the hook the
   CI matrix uses to run whole suites on torch;
 * :func:`to_device` / :func:`from_device` are the host↔device boundary
-  converters the kernels (and the dynamic phase's residency routing)
-  use to move arrays into and out of the active module.
+  converters the dynamic phase's residency routing uses to move arrays
+  into and out of the active module (the kernels' boundary brings host
+  results back with :func:`from_device`).
 
 Optional-dependency policy
 --------------------------

@@ -20,8 +20,8 @@ replaces each of those with a batched formulation:
   lag-``m`` neighbors; updating a class jointly is therefore *exactly*
   a Gauss-Seidel sweep under the color ordering (see below).
 * :func:`mttkrp` contracts a dense residual against all-but-one factor
-  matrix with one ``einsum`` instead of materializing a Khatri-Rao
-  product.
+  matrix with a chain of one matmul and broadcast-multiply-sums instead
+  of materializing a Khatri-Rao product.
 * :func:`rls_update_rows` replays OLSTEC's per-entry RLS recursions in
   batched rounds: entries of different factor rows are independent, so
   round ``j`` updates the ``j``-th observed entry of every row at once
@@ -37,7 +37,7 @@ Every dispatched kernel is looked up on the *active backend*, a
 :class:`KernelBackend` record registered in this module.  Five backends
 ship today:
 
-* ``"batched"`` — the dense-contraction path: BLAS tensordot chains,
+* ``"batched"`` — the dense-contraction path: BLAS matmul chains,
   batched solves, dense scatter.  Work is ``O(prod(dims) R^2)`` per
   accumulation/reconstruction regardless of how many entries are
   actually observed.
@@ -52,19 +52,24 @@ ship today:
   ``"batched"`` by comparing the observed fraction against
   ``AUTO_DENSITY_THRESHOLD`` (5%, where the dense BLAS constants beat
   the scatter-gather constants on the benchmark sweep).
-* ``"xp"`` — the dense contraction strategy written once against the
-  Python Array API standard, so the identical kernel code runs on
-  NumPy, torch (CPU or CUDA), or CuPy arrays.  The array library is
-  selected by :mod:`repro.tensor.device` (``set_array_module``, the
-  ``REPRO_ARRAY_MODULE`` environment variable); host NumPy inputs are
-  converted at the kernel boundary and host outputs come back as NumPy
-  arrays, while device-native inputs stay resident on the device (the
-  dynamic phase uses this to keep factors on-device across a whole
-  mini-batch).  Beyond the standard, this backend relies on
-  integer-array gather *and* scatter-assignment indexing, which NumPy,
-  torch, and CuPy all provide.
+* ``"xp"`` — the same dense kernels on the array library selected by
+  :mod:`repro.tensor.device` (``set_array_module``, the
+  ``REPRO_ARRAY_MODULE`` environment variable): NumPy, torch (CPU or
+  CUDA), or CuPy.  Host NumPy inputs move to the device at the kernel
+  boundary and host outputs come back as NumPy arrays, while
+  device-native inputs stay resident on the device (the dynamic phase
+  uses this to keep factors on-device across a whole mini-batch).
 * ``"reference"`` — the seed's scalar semantics, used by the parity
   tests and the scalar-vs-batched benchmarks.
+
+``"batched"`` and ``"xp"`` share one body per dense kernel.  Each body
+takes the array namespace as its first argument and uses only Array
+API functions, operators and indexing (plus integer-array gather and
+scatter-assignment indexing, which NumPy, torch, and CuPy all provide).
+``"batched"`` binds the bodies to NumPy once, at import (``_NUMPY``),
+with no module lookup or conversion per call; ``"xp"`` runs them behind
+one host↔device boundary (:func:`_on_array_module`).  On the NumPy
+module the two are therefore bit for bit the same computation.
 
 The active backend defaults to ``"auto"`` and can be overridden with
 :func:`set_backend`, the :func:`use_backend` context manager, or the
@@ -77,10 +82,7 @@ Kernels no longer hard-cast to ``float64``: every kernel computes in
 :func:`result_dtype` of its floating inputs — float32 in, float32 out;
 mixed or non-float inputs promote to float64 — so a float32 SOFIA run
 (``SofiaConfig(dtype="float32")``) stays float32 through the whole
-seam.  A backend can pin the policy instead via its
-:attr:`KernelBackend.dtype` field (e.g. a GPU backend that always
-computes in float32); ``None`` (every shipped backend) means "follow
-the inputs".  The relative ridge of the row solves is dtype-aware
+seam.  The relative ridge of the row solves is dtype-aware
 (:func:`_ridge_for`): ``1e-10`` in float64 and ``~1e-4`` in float32,
 where ``1e-10`` would vanish against machine epsilon and leave
 singular systems singular.
@@ -105,12 +107,14 @@ change::
         kruskal_reconstruct_rows=...,     # (factors, weight_rows, coords)
     ))
 
-Contract highlights: ``solve_rows`` must keep ``fallback`` rows where
-both sides are zero; ``temporal_sweep`` must realize a valid
-Gauss-Seidel ordering of Eq. 17-18 (any ordering — the conformance
-suite checks the zero-coupling case exactly and the coupled case at the
-shared fixed point); ``kruskal_reconstruct_rows`` must honor the
-optional ``coords`` gather form; ``mttkrp`` must accept ``mode=None``
+Contract highlights: kernels compute in :func:`result_dtype` of their
+inputs; ``solve_rows`` must keep ``fallback`` rows where both sides are
+zero; ``temporal_sweep`` must realize a valid Gauss-Seidel ordering of
+Eq. 17-18 (any ordering — the conformance suite checks the
+zero-coupling case exactly and the coupled case at the shared fixed
+point); ``kruskal_reconstruct_rows`` must honor the
+optional ``coords`` gather form (the dispatcher has already checked
+that ``weight_rows`` is 2-D); ``mttkrp`` must accept ``mode=None``
 (contract everything) and a ``None`` placeholder in the skipped
 ``mode`` slot of ``factors``.  Partial backends can borrow the shipped
 implementations for kernels they do not specialize (the sparse backend
@@ -119,19 +123,13 @@ which already run over per-row systems or observed entries only).  The
 ``keeps_dense_steps`` flag (default ``True``) guarantees the dynamic
 phase never bypasses the backend's kernels with its own CPU per-entry
 fast path — leave it set unless that path is your execution strategy.
-Three more optional fields shape the seam-wide policies:
-
-* ``dtype`` — pin every kernel of this backend to one computation
-  dtype (``"float32"``/``"float64"``); ``None`` follows the inputs
-  (see *Dtype policy* above).
-* ``to_device`` / ``from_device`` — host↔device boundary converters.
-  When set (the ``"xp"`` backend maps them to
-  :func:`repro.tensor.device.to_device` / ``from_device``), the dynamic
-  phase moves the factor matrices to the device once per
-  step/mini-batch and back once at the end, so consecutive kernel
-  calls reuse the resident copies instead of re-uploading per call.
-  ``None`` (every CPU backend) keeps all arrays host-side with zero
-  overhead.
+Two more optional fields, ``to_device`` / ``from_device``, are
+host↔device boundary converters.  When set (the ``"xp"`` backend maps
+them to :func:`repro.tensor.device.to_device` / ``from_device``), the
+dynamic phase moves the factor matrices to the device once per
+step/mini-batch and back once at the end, so consecutive kernel calls
+reuse the resident copies instead of re-uploading per call.  ``None``
+(every CPU backend) keeps all arrays host-side with zero overhead.
 
 Every registered backend is automatically exercised against
 ``"reference"`` by ``tests/tensor/backend_conformance.py`` — register
@@ -155,11 +153,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
+import types
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -250,17 +251,13 @@ def _dtype_of(array: Any) -> np.dtype:
 def result_dtype(*arrays: Any) -> np.dtype:
     """The seam-wide computation dtype for one kernel call.
 
-    When the active backend pins a dtype (:attr:`KernelBackend.dtype`),
-    that wins.  Otherwise the kernels follow their inputs: the NumPy
-    promotion of all floating inputs, clamped to float32/float64
-    (anything else — integer, bool, or float16 inputs, or no floating
-    input at all — computes in float64, preserving the seed semantics
-    for non-float callers).  ``None`` entries are ignored so optional
-    arguments can be passed straight through.
+    The kernels follow their inputs: the NumPy promotion of all floating
+    inputs, clamped to float32/float64 (anything else — integer, bool,
+    or float16 inputs, or no floating input at all — computes in
+    float64, preserving the seed semantics for non-float callers).
+    ``None`` entries are ignored so optional arguments can be passed
+    straight through.
     """
-    pinned = active_backend().dtype
-    if pinned is not None:
-        return np.dtype(pinned)
     floats = set()
     for array in arrays:
         if array is not None:
@@ -475,152 +472,205 @@ def masked_soft_threshold(
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (the default backend)
+# Dense kernels: one body each, bound to NumPy ("batched") and to the
+# array module of repro.tensor.device ("xp")
 # ---------------------------------------------------------------------------
+#
+# Every body takes the array namespace ``xp`` first and moves its inputs
+# onto it with ``xp.asarray`` (a no-op for NumPy arrays of the right
+# dtype).  Beyond the Array API standard the bodies rely only on
+# integer-array gather and scatter-assignment indexing, plus host NumPy
+# for the RLS round bookkeeping.
 
 
-def _batched_solve_rows(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    fallback: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve all row systems with one batched (ridged) ``np.linalg.solve``.
+def _namespace_dtype(xp: Any, dtype: np.dtype) -> Any:
+    """The :func:`result_dtype` ``dtype`` as the namespace ``xp`` spells it."""
+    if xp is _NUMPY or xp is np:
+        return dtype
+    return _device._module_dtype(xp, dtype)
+
+
+#: ``numpy`` as the ``"batched"`` bindings pass it to the dense bodies.
+#: NumPy's module-level ``sum``/``reshape``/``permute_dims`` run Python
+#: wrappers that cost ~0.5-1.5 µs a call at streaming sizes, about a
+#: fifth of a 40x30 MTTKRP; here they are the equivalent ndarray
+#: methods (the same computation, bit for bit), so the shared bodies
+#: cost what hand-written NumPy costs.
+_NUMPY = types.SimpleNamespace(
+    **{
+        **vars(np),
+        "sum": lambda x, /, *, axis=None: x.sum(axis=axis),
+        "reshape": lambda x, /, shape: x.reshape(shape),
+        "permute_dims": lambda x, /, axes: x.transpose(axes),
+    }
+)
+
+
+def _singular_errors() -> tuple[type[Exception], ...]:
+    """What a batched solve raises on an exactly singular system.
+
+    NumPy and CuPy raise ``numpy.linalg.LinAlgError``; torch raises its
+    own ``RuntimeError`` subclass, looked up only if torch is loaded.
+    """
+    torch = sys.modules.get("torch")
+    if torch is None:
+        return (np.linalg.LinAlgError,)
+    return (np.linalg.LinAlgError, torch.linalg.LinAlgError)
+
+
+def _solve_rows(
+    xp: Any,
+    lhs: Any,
+    rhs: Any,
+    fallback: Any | None = None,
+) -> Any:
+    """Solve all row systems with one batched (ridged) solve.
 
     Rows whose system is numerically singular even after the ridge are
-    handled by a vectorized pseudo-inverse fallback; rows whose ``lhs``
+    handled by a batched pseudo-inverse fallback; rows whose ``lhs``
     *and* ``rhs`` are entirely zero (no observations and no smoothness
     coupling) keep their ``fallback`` value.
     """
     dtype = result_dtype(lhs, rhs, fallback)
-    lhs = np.asarray(lhs, dtype=dtype)
-    rhs = np.asarray(rhs, dtype=dtype)
+    xdtype = _namespace_dtype(xp, dtype)
+    lhs = xp.asarray(lhs, dtype=xdtype)
+    rhs = xp.asarray(rhs, dtype=xdtype)
     n, rank = rhs.shape
     if n == 0:
-        return rhs.copy()
-    scale = np.einsum("nii->n", lhs) / rank
-    ridged = lhs + (_ridge_for(dtype) * (1.0 + scale))[:, None, None] * np.eye(
-        rank, dtype=dtype
+        return xp.asarray(rhs, copy=True)
+    scale = xp.linalg.trace(lhs) / rank
+    ridged = lhs + (_ridge_for(dtype) * (1.0 + scale))[:, None, None] * xp.eye(
+        rank, dtype=xdtype
     )
     try:
-        solution = np.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
+        solution = xp.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
+    except _singular_errors():
         # At least one matrix in the batch is exactly singular: fall back
         # to the batched minimum-norm least-squares solution for all rows.
-        solution = np.matmul(np.linalg.pinv(ridged), rhs[:, :, None])[:, :, 0]
-    if fallback is not None:
-        inactive = ~(lhs.any(axis=(1, 2)) | rhs.any(axis=1))
-        if inactive.any():
-            solution[inactive] = np.asarray(fallback, dtype=dtype)[inactive]
-    return solution
+        solution = (xp.linalg.pinv(ridged) @ rhs[:, :, None])[:, :, 0]
+    if fallback is None:
+        return solution
+    inactive = ~(xp.any(lhs != 0, axis=(1, 2)) | xp.any(rhs != 0, axis=1))
+    return xp.where(
+        inactive[:, None], xp.asarray(fallback, dtype=xdtype), solution
+    )
 
 
-def _dense_mttkrp_chain(
-    tensor: np.ndarray,
-    mats: Sequence[np.ndarray | None],
+def _mttkrp_chain(
+    xp: Any,
+    tensor: Any,
+    mats: Sequence[Any | None],
     mode: int | None,
-    dtype: np.dtype,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """MTTKRP as a chain of matmul / broadcast-multiply-sum contractions.
+    dtype: Any,
+    weights: Any | None = None,
+) -> Any:
+    """MTTKRP as one matmul followed by broadcast-multiply-sums.
 
     Contracts every mode except ``mode`` against the matching matrix in
-    ``mats`` (whose entry at ``mode`` is ignored), tying all contractions
-    to one shared trailing column index.  Equivalent to
-    ``unfold(tensor, mode) @ (khatri_rao(others) * weights)`` but without
-    materializing the Khatri-Rao matrix and without per-call einsum-path
-    overhead.  ``dtype`` is the caller's :func:`result_dtype`.
+    ``mats`` (whose entry at ``mode`` is never read), tying all
+    contractions to one shared trailing column index.  Equivalent to
+    ``unfold(tensor, mode) @ (khatri_rao(others) * weights)`` without
+    materializing the Khatri-Rao matrix.  ``dtype`` is the caller's
+    :func:`result_dtype` in the namespace's spelling.
 
     The longest axis contracts first (ties: the higher axis first), as
-    one BLAS matmul — the transpose-reshape-matmul that ``tensordot``
-    runs, without its Python overhead — so every later
+    one 2-D matmul over the permuted, flattened tensor, so every later
     broadcast-multiply-sum runs over the smallest remaining temporary: a
     length-1 batch axis then costs one small sum, not a full-size
-    product.
+    product.  With no axis to contract (a single-mode tensor) the empty
+    Khatri-Rao product is all-ones.
     """
     order = sorted(
         (axis for axis in range(tensor.ndim) if axis != mode),
         key=lambda axis: (tensor.shape[axis], axis),
         reverse=True,
     )
-    out = np.asarray(tensor, dtype=dtype)
-    if not order:
-        return out
-    first = order[0]
-    mat = np.asarray(mats[first], dtype=dtype)
     if weights is not None:
-        mat = mat * np.asarray(weights, dtype=dtype)[None, :]
-    live = [axis for axis in range(out.ndim) if axis != first]
-    kept = [out.shape[axis] for axis in live]
-    out = (
-        out.transpose(live + [first]).reshape(math.prod(kept), len(mat)) @ mat
-    ).reshape(kept + [mat.shape[1]])
+        weights = xp.asarray(weights, dtype=dtype)
+    if not order:
+        if weights is None:
+            rank = next(m.shape[1] for m in mats if m is not None)
+            weights = xp.ones(rank, dtype=dtype)
+        return tensor[..., None] * weights
+    first = order[0]
+    mat = xp.asarray(mats[first], dtype=dtype)
+    if weights is not None:
+        mat = mat * weights
+    live = [axis for axis in range(tensor.ndim) if axis != first]
+    kept = [tensor.shape[axis] for axis in live]
+    out = xp.reshape(
+        xp.reshape(
+            xp.permute_dims(tensor, (*live, first)),
+            (math.prod(kept), mat.shape[0]),
+        )
+        @ mat,
+        (*kept, mat.shape[1]),
+    )
     for axis in order[1:]:
         pos = live.index(axis)
         del live[pos]
-        mat = np.asarray(mats[axis], dtype=dtype)
-        broadcast = [1] * out.ndim
-        broadcast[pos] = mat.shape[0]
-        broadcast[-1] = mat.shape[1]
-        out = (out * mat.reshape(broadcast)).sum(axis=pos)
+        # (I_axis, 1, ..., 1, R): lines the rows up with axis ``pos`` and
+        # the columns with the trailing rank axis.
+        mat = xp.asarray(mats[axis], dtype=dtype)[
+            (slice(None),) + (None,) * (out.ndim - pos - 2)
+        ]
+        out = xp.sum(out * mat, axis=pos)
     return out
 
 
-#: Observed fraction above which the dense contraction paths beat the
-#: per-entry sparse paths (dense work is O(prod(dims) R^2) at BLAS
-#: speed; sparse work is O(nnz R^2) with scatter-gather constants).
-#: The ``"auto"`` backend dispatches each call across this threshold.
-AUTO_DENSITY_THRESHOLD = 0.05
-
-
-def _batched_accumulate_normal_equations(
-    coords: tuple[np.ndarray, ...],
-    values: np.ndarray,
-    factors: Sequence[np.ndarray],
+def _accumulate_normal_equations(
+    xp: Any,
+    coords: tuple[Any, ...],
+    values: Any,
+    factors: Sequence[Any],
     mode: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Any, Any]:
     """Dense-contraction accumulation of ``B_i``/``c_i`` (Eq. 14-15).
 
     Scatters the observed values and the indicator back to dense arrays,
     then computes ``c`` as one MTTKRP of the masked values and ``B`` as
     one MTTKRP of the indicator against the *pair* matrices
-    ``U^(l) ⊙row U^(l)`` of shape ``(I_l, R²)`` — both run as BLAS-backed
-    tensordot chains.  Work is ``O(prod(dims) R²)`` regardless of how
-    many entries are observed; the sparse backend covers the low-density
-    regime.
+    ``U^(l) ⊙row U^(l)`` of shape ``(I_l, R²)``.  Work is
+    ``O(prod(dims) R²)`` regardless of how many entries are observed;
+    the sparse backend covers the low-density regime.
     """
-    rank = factors[0].shape[1]
-    dim = factors[mode].shape[0]
-    dtype = result_dtype(values, *factors)
-    if values.size == 0:
+    dtype = _namespace_dtype(xp, result_dtype(values, *factors))
+    mats = [xp.asarray(f, dtype=dtype) for f in factors]
+    values = xp.asarray(values, dtype=dtype)
+    rank = mats[0].shape[1]
+    shape = tuple(m.shape[0] for m in mats)
+    if values.shape[0] == 0:
         return (
-            np.zeros((dim, rank, rank), dtype=dtype),
-            np.zeros((dim, rank), dtype=dtype),
+            xp.zeros((shape[mode], rank, rank), dtype=dtype),
+            xp.zeros((shape[mode], rank), dtype=dtype),
         )
-    shape = tuple(f.shape[0] for f in factors)
-    dense_values = np.zeros(shape, dtype=dtype)
-    dense_values[coords] = values
-    indicator = np.zeros(shape, dtype=dtype)
-    indicator[coords] = 1.0
-    big_c = _dense_mttkrp_chain(dense_values, factors, mode, dtype)
+    idx = tuple(xp.asarray(c) for c in coords)
+    dense_values = xp.zeros(shape, dtype=dtype)
+    dense_values[idx] = values
+    indicator = xp.zeros(shape, dtype=dtype)
+    indicator[idx] = 1.0
+    big_c = _mttkrp_chain(xp, dense_values, mats, mode, dtype)
     pairs = [
-        (f[:, :, None] * f[:, None, :]).reshape(f.shape[0], rank * rank)
-        for f in factors
+        xp.reshape(m[:, :, None] * m[:, None, :], (m.shape[0], rank * rank))
+        for m in mats
     ]
-    big_b = _dense_mttkrp_chain(indicator, pairs, mode, dtype).reshape(
-        shape[mode], rank, rank
+    big_b = xp.reshape(
+        _mttkrp_chain(xp, indicator, pairs, mode, dtype),
+        (shape[mode], rank, rank),
     )
     return big_b, big_c
 
 
-def _batched_temporal_sweep(
-    big_b: np.ndarray,
-    big_c: np.ndarray,
-    temporal: np.ndarray,
+def _temporal_sweep(
+    xp: Any,
+    big_b: Any,
+    big_c: Any,
+    temporal: Any,
     *,
     lambda1: float,
     lambda2: float,
     period: int,
-) -> np.ndarray:
+) -> Any:
     """Theorem-2 temporal sweep in four batched Gauss-Seidel color classes.
 
     Rows are colored ``(i mod 2, floor(i / m) mod 2)`` so no two rows of
@@ -629,68 +679,70 @@ def _batched_temporal_sweep(
     of the previously updated classes — preserving the within-sweep
     neighbor coupling of Eq. 17-18.
     """
-    dtype = result_dtype(big_b, big_c, temporal)
-    big_b = np.asarray(big_b, dtype=dtype)
-    big_c = np.asarray(big_c, dtype=dtype)
-    out = np.asarray(temporal, dtype=dtype).copy()
+    dtype = _namespace_dtype(xp, result_dtype(big_b, big_c, temporal))
+    big_b = xp.asarray(big_b, dtype=dtype)
+    big_c = xp.asarray(big_c, dtype=dtype)
+    out = xp.asarray(temporal, dtype=dtype, copy=True)
     length, rank = out.shape
-    diag = np.asarray(
-        lambda1 * lag_neighbor_counts(length, 1)
-        + lambda2 * lag_neighbor_counts(length, period),
-        dtype=dtype,
-    )
-    eye = np.eye(rank, dtype=dtype)
-    idx = np.arange(length)
-    colors = (idx & 1) + 2 * ((idx // period) & 1)
-    for color in range(4):
-        rows = np.flatnonzero(colors == color)
-        if rows.size == 0:
-            continue
-        lhs = big_b[rows] + diag[rows, None, None] * eye
-        rhs = (
-            big_c[rows]
-            + lambda1 * lag_neighbor_sums(out, 1, rows)
-            + lambda2 * lag_neighbor_sums(out, period, rows)
+    idx = xp.arange(length)
+    zero_row = xp.zeros((1, rank), dtype=dtype)
+
+    def neighbor_counts(lag: int) -> Any:
+        return xp.astype(idx >= lag, dtype) + xp.astype(
+            idx < length - lag, dtype
         )
-        out[rows] = _batched_solve_rows(lhs, rhs, fallback=out[rows])
+
+    def neighbor_sums(rows: Any, lag: int) -> Any:
+        # Out-of-range neighbors gather row 0 and are masked to zero.
+        total = zero_row
+        for near in (rows - lag, rows + lag):
+            valid = (near >= 0) & (near < length)
+            near = xp.where(valid, near, xp.zeros_like(near))
+            total = total + xp.where(valid[:, None], out[near, :], zero_row)
+        return total
+
+    diag = lambda1 * neighbor_counts(1) + lambda2 * neighbor_counts(period)
+    eye = xp.eye(rank, dtype=dtype)
+    colors = (idx % 2) + 2 * ((idx // period) % 2)
+    for color in range(4):
+        rows = xp.nonzero(colors == color)[0]
+        if rows.shape[0] == 0:
+            continue
+        lhs = big_b[rows, ...] + diag[rows][:, None, None] * eye
+        rhs = (
+            big_c[rows, ...]
+            + lambda1 * neighbor_sums(rows, 1)
+            + lambda2 * neighbor_sums(rows, period)
+        )
+        out[rows, ...] = _solve_rows(xp, lhs, rhs, out[rows, ...])
     return out
 
 
-def _batched_mttkrp(
-    tensor: np.ndarray,
-    factors: Sequence[np.ndarray],
+def _mttkrp(
+    xp: Any,
+    tensor: Any,
+    factors: Sequence[Any | None],
     mode: int | None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+    weights: Any | None = None,
+) -> Any:
     """Dense MTTKRP ``unfold(X, mode) · (⊙_{l≠mode} U^(l)) diag(w)``.
 
-    Runs as a chain of pairwise contractions (the first one a BLAS
-    ``tensordot``) instead of materializing the Khatri-Rao matrix.
     ``mode=None`` contracts *every* mode, leaving only the rank index —
     the ``(⊙_n U^(n))ᵀ vec(R)`` term of Eq. 25.
     """
-    dtype = result_dtype(
-        tensor, weights, *[f for f in factors if f is not None]
+    dtype = _namespace_dtype(xp, result_dtype(tensor, weights, *factors))
+    return _mttkrp_chain(
+        xp, xp.asarray(tensor, dtype=dtype), factors, mode, dtype, weights
     )
-    tensor = np.asarray(tensor, dtype=dtype)
-    if tensor.ndim == 1 and mode is not None:
-        # Single-mode tensor: the empty Khatri-Rao product is all-ones.
-        rank = next(f.shape[1] for f in factors if f is not None)
-        row = (
-            np.asarray(weights, dtype=dtype)[None, :]
-            if weights is not None
-            else np.ones((1, rank), dtype=dtype)
-        )
-        return tensor[:, None] * row
-    return _dense_mttkrp_chain(tensor, factors, mode, dtype, weights)
 
 
-def _batched_rls_update_rows(
-    factor: np.ndarray,
-    cov: np.ndarray,
-    rows: np.ndarray,
-    regressors: np.ndarray,
-    targets: np.ndarray,
+def _rls_update_rows(
+    xp: Any,
+    factor: Any,
+    cov: Any,
+    rows: Any,
+    regressors: Any,
+    targets: Any,
     beta: float,
 ) -> None:
     """Replay per-row RLS recursions in batched rounds (OLSTEC hot loop).
@@ -699,77 +751,129 @@ def _batched_rls_update_rows(
     ``j`` applies the rank-1 RLS update for the ``j``-th observed entry
     of every row simultaneously; a stable sort keeps the original
     within-row entry order, making the result identical to the scalar
-    per-entry loop.  Mutates ``factor`` and ``cov`` in place.
+    per-entry loop.  The round bookkeeping (small integer arrays) runs
+    on host NumPy.  Mutates ``factor`` and ``cov`` (arrays of ``xp``) in
+    place.
     """
     rows = np.asarray(rows)
     if rows.size == 0:
         return
-    dtype = result_dtype(factor, cov, regressors, targets)
+    dtype = _namespace_dtype(
+        xp, result_dtype(factor, cov, regressors, targets)
+    )
     order = np.argsort(rows, kind="stable")
     rows_sorted = rows[order]
-    x_sorted = np.asarray(regressors, dtype=dtype)[order]
-    t_sorted = np.asarray(targets, dtype=dtype)[order]
     is_start = np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
     starts = np.flatnonzero(is_start)
-    group = np.cumsum(is_start) - 1
-    position = np.arange(rows_sorted.size) - starts[group]
+    position = np.arange(rows_sorted.size) - starts[np.cumsum(is_start) - 1]
+    order = xp.asarray(order)
+    x_sorted = xp.asarray(regressors, dtype=dtype)[order, ...]
+    t_sorted = xp.asarray(targets, dtype=dtype)[order]
     for round_index in range(int(position.max()) + 1):
-        sel = position == round_index
-        r = rows_sorted[sel]
-        x = x_sorted[sel]
-        p = cov[r]
-        px = np.einsum("kij,kj->ki", p, x)
-        gain = px / (beta + np.einsum("kj,kj->k", x, px))[:, None]
-        error = t_sorted[sel] - np.einsum("kj,kj->k", factor[r], x)
-        factor[r] += gain * error[:, None]
-        cov[r] = (p - gain[:, :, None] * px[:, None, :]) / beta
+        sel = np.flatnonzero(position == round_index)
+        r = xp.asarray(rows_sorted[sel])
+        sel = xp.asarray(sel)
+        x = x_sorted[sel, ...]
+        p = cov[r, ...]
+        px = (p @ x[:, :, None])[:, :, 0]
+        gain = px / (beta + xp.sum(x * px, axis=-1))[:, None]
+        error = t_sorted[sel] - xp.sum(factor[r, ...] * x, axis=-1)
+        factor[r, ...] = factor[r, ...] + gain * error[:, None]
+        cov[r, ...] = (p - gain[:, :, None] * px[:, None, :]) / beta
 
 
-def _batched_kruskal_reconstruct_rows(
-    factors: Sequence[np.ndarray],
-    weight_rows: np.ndarray,
-    coords: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
+def _kruskal_reconstruct_rows(
+    xp: Any,
+    factors: Sequence[Any],
+    weight_rows: Any,
+    coords: tuple[Any, ...] | None = None,
+) -> Any:
     """All ``B`` reconstructions ``[[factors; w_b]]`` in one fused pass.
 
     Two equivalent strategies, picked by shape: when the batch is small
     relative to the last mode, a broadcast chain grows
     ``(B, I_1, ..., I_l, R)`` one mode at a time and finishes with a
-    single BLAS matmul against the last factor (no ``prod(I) x R``
+    single matmul against the last factor (no ``prod(I) x R``
     Khatri-Rao temporary); otherwise the shared Khatri-Rao matrix is
     materialized once and the whole mini-batch is one
     ``W @ khatri_rao(factors)ᵀ`` matmul.  With ``coords``, the dense
-    stack is still built and then gathered — this is the dense backend;
+    stack is still built and then gathered — this is the dense path;
     the sparse backend evaluates only the requested entries.
     """
-    dtype = result_dtype(weight_rows, *factors)
-    weight_rows = np.asarray(weight_rows, dtype=dtype)
-    if weight_rows.ndim != 2:
-        raise ShapeError(
-            f"weight rows must be 2-D (batch, rank), got {weight_rows.shape}"
-        )
-    mats = [np.asarray(f, dtype=dtype) for f in factors]
-    shape = tuple(f.shape[0] for f in mats)
-    n_batch = weight_rows.shape[0]
+    dtype = _namespace_dtype(xp, result_dtype(weight_rows, *factors))
+    weight_rows = xp.asarray(weight_rows, dtype=dtype)
+    mats = [xp.asarray(f, dtype=dtype) for f in factors]
+    n_batch, rank = weight_rows.shape
+    shape = (n_batch, *(m.shape[0] for m in mats))
     if len(mats) == 1:
         dense = weight_rows @ mats[0].T
     elif n_batch < mats[-1].shape[0]:
         out = weight_rows
         for mat in mats[:-1]:
             out = out[..., None, :] * mat
-        flat = out.reshape(-1, out.shape[-1])
-        dense = (flat @ mats[-1].T).reshape((n_batch,) + shape)
+        flat = xp.reshape(out, (-1, rank))
+        dense = xp.reshape(flat @ mats[-1].T, shape)
     else:
-        kr = khatri_rao(mats)
-        dense = (weight_rows @ kr.T).reshape((n_batch,) + shape)
+        kr = mats[0]
+        for mat in mats[1:]:
+            kr = xp.reshape(kr[:, None, :] * mat, (-1, rank))
+        dense = xp.reshape(weight_rows @ kr.T, shape)
     if coords is None:
         return dense
-    return dense[coords]
+    return dense[tuple(xp.asarray(c) for c in coords)]
+
+
+def _is_host(value: Any) -> bool:
+    """Whether a kernel argument lives on the host (outputs follow)."""
+    if isinstance(value, (list, tuple)):
+        return all(_is_host(item) for item in value)
+    return value is None or isinstance(
+        value, (bool, int, float, np.ndarray, np.generic)
+    )
+
+
+def _on_array_module(body: Callable[..., Any], *, in_place: int = 0):
+    """Bind a dense body to the array module :mod:`repro.tensor.device` selects.
+
+    The one host↔device boundary of the ``"xp"`` backend.  The body
+    moves its own inputs onto the module (``xp.asarray`` is the
+    host→device edge).  Results come back as NumPy arrays when every
+    argument was host-side and stay on the device otherwise — how the
+    dynamic phase keeps its factors resident.  The first ``in_place``
+    arguments are updated in place by the body: they are moved onto the
+    module before the call and written back after it where the move
+    made a copy.
+    """
+
+    def kernel(*args: Any, **kwargs: Any) -> Any:
+        xp = _device.get_array_module()
+        moved = [xp.asarray(arg) for arg in args[:in_place]]
+        result = body(xp, *moved, *args[in_place:], **kwargs)
+        for arg, resident in zip(args, moved):
+            if resident is not arg:
+                arg[...] = (
+                    _device.from_device(resident)
+                    if isinstance(arg, np.ndarray)
+                    else resident
+                )
+        if result is None or not _is_host(args):
+            return result
+        if isinstance(result, tuple):
+            return tuple(_device.from_device(part) for part in result)
+        return _device.from_device(result)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # Sparse kernels (per-entry gather/segment work over observed coordinates)
 # ---------------------------------------------------------------------------
+
+#: Observed fraction above which the dense contraction paths beat the
+#: per-entry sparse paths (dense work is O(prod(dims) R^2) at BLAS
+#: speed; sparse work is O(nnz R^2) with scatter-gather constants).
+#: The ``"auto"`` backend dispatches each call across this threshold.
+AUTO_DENSITY_THRESHOLD = 0.05
 
 
 def mttkrp_observed(
@@ -864,21 +968,12 @@ def _sparse_mttkrp(
     The dynamic-phase residuals are masked to zero off the observed
     entries, so gathering at ``np.nonzero(tensor)`` and segment-summing
     reproduces the dense contraction exactly while doing ``O(nnz N R)``
-    work instead of ``O(prod(dims) R)``.
+    work instead of ``O(prod(dims) R)``.  A single-mode tensor has no
+    axis to gather over and takes the dense body.
     """
-    dtype = result_dtype(
-        tensor, weights, *[f for f in factors if f is not None]
-    )
-    tensor = np.asarray(tensor, dtype=dtype)
-    if tensor.ndim == 1 and mode is not None:
-        # Single-mode tensor: the empty Khatri-Rao product is all-ones.
-        rank = next(f.shape[1] for f in factors if f is not None)
-        row = (
-            np.asarray(weights, dtype=dtype)[None, :]
-            if weights is not None
-            else np.ones((1, rank), dtype=dtype)
-        )
-        return tensor[:, None] * row
+    tensor = np.asarray(tensor)
+    if tensor.ndim <= 1:
+        return _mttkrp(_NUMPY, tensor, factors, mode, weights)
     coords = np.nonzero(tensor)
     dim = None if mode is None else tensor.shape[mode]
     return mttkrp_observed(
@@ -899,14 +994,10 @@ def _sparse_kruskal_reconstruct_rows(
     stack is requested, which has no sparsity to exploit, so the dense
     batched strategy is reused.
     """
+    if coords is None:
+        return _kruskal_reconstruct_rows(_NUMPY, factors, weight_rows)
     dtype = result_dtype(weight_rows, *factors)
     weight_rows = np.asarray(weight_rows, dtype=dtype)
-    if weight_rows.ndim != 2:
-        raise ShapeError(
-            f"weight rows must be 2-D (batch, rank), got {weight_rows.shape}"
-        )
-    if coords is None:
-        return _batched_kruskal_reconstruct_rows(factors, weight_rows)
     prod = weight_rows[coords[0]]
     for axis, factor in enumerate(factors):
         prod = prod * np.asarray(factor, dtype=dtype)[coords[axis + 1]]
@@ -932,7 +1023,7 @@ def _auto_accumulate_normal_equations(
         return _sparse_accumulate_normal_equations(
             coords, values, factors, mode
         )
-    return _batched_accumulate_normal_equations(coords, values, factors, mode)
+    return _accumulate_normal_equations(_NUMPY, coords, values, factors, mode)
 
 
 def _auto_mttkrp(
@@ -944,20 +1035,14 @@ def _auto_mttkrp(
     """Route MTTKRP by the tensor's nonzero fraction.
 
     The cheap ``count_nonzero`` probe runs first so the dense route
-    never materializes coordinate arrays; the sparse route then
-    extracts the coordinates once and contracts directly (no second
-    scan inside :func:`_sparse_mttkrp`).
+    never materializes coordinate arrays.
     """
     tensor = np.asarray(tensor)
     if tensor.ndim <= 1 or (
         np.count_nonzero(tensor) >= AUTO_DENSITY_THRESHOLD * tensor.size
     ):
-        return _batched_mttkrp(tensor, factors, mode, weights)
-    coords = np.nonzero(tensor)
-    dim = None if mode is None else tensor.shape[mode]
-    return mttkrp_observed(
-        coords, tensor[coords], factors, mode, dim=dim, weights=weights
-    )
+        return _mttkrp(_NUMPY, tensor, factors, mode, weights)
+    return _sparse_mttkrp(tensor, factors, mode, weights)
 
 
 def _auto_kruskal_reconstruct_rows(
@@ -967,13 +1052,13 @@ def _auto_kruskal_reconstruct_rows(
 ) -> np.ndarray:
     """Gather-only when few entries are requested; dense stack otherwise."""
     if coords is None:
-        return _batched_kruskal_reconstruct_rows(factors, weight_rows)
+        return _kruskal_reconstruct_rows(_NUMPY, factors, weight_rows)
     total = np.asarray(weight_rows).shape[0] * 1.0
     for f in factors:
         total *= f.shape[0]
     if coords[0].size < AUTO_DENSITY_THRESHOLD * total:
         return _sparse_kruskal_reconstruct_rows(factors, weight_rows, coords)
-    return _batched_kruskal_reconstruct_rows(factors, weight_rows, coords)
+    return _kruskal_reconstruct_rows(_NUMPY, factors, weight_rows, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,10 +1195,6 @@ def _reference_kruskal_reconstruct_rows(
     """One Kruskal evaluation per weight row (the per-step semantics)."""
     dtype = result_dtype(weight_rows, *factors)
     weight_rows = np.asarray(weight_rows, dtype=dtype)
-    if weight_rows.ndim != 2:
-        raise ShapeError(
-            f"weight rows must be 2-D (batch, rank), got {weight_rows.shape}"
-        )
     shape = tuple(f.shape[0] for f in factors)
     out = np.empty((weight_rows.shape[0],) + shape, dtype=dtype)
     for b in range(weight_rows.shape[0]):
@@ -1139,359 +1220,6 @@ def _reference_rls_update_rows(
         error = target - float(factor[row] @ x)
         factor[row] += gain * error
         cov[row] = (p - np.outer(gain, px)) / beta
-
-
-# ---------------------------------------------------------------------------
-# Array-API ("xp") kernels — one implementation for NumPy/torch/CuPy
-# ---------------------------------------------------------------------------
-#
-# These six kernels are written once against the Python Array API
-# standard plus integer-array gather/scatter indexing (which NumPy,
-# torch, and CuPy all support) and execute on whatever array module
-# repro.tensor.device selects.  Host (NumPy) inputs are moved to the
-# device at the kernel boundary and the outputs come back as NumPy
-# arrays; if any input is already device-native the outputs stay on the
-# device, which is how the dynamic phase keeps factors resident across
-# a whole mini-batch.
-
-
-def _xp_is_host(array: Any) -> bool:
-    """Whether an input lives on the host (outputs follow the inputs)."""
-    if array is None or isinstance(
-        array, (bool, int, float, np.ndarray, np.generic)
-    ):
-        return True
-    if isinstance(array, (list, tuple)):
-        return all(_xp_is_host(item) for item in array)
-    return False
-
-
-def _xp_maybe_host(result: Any, host_out: bool):
-    """Convert a kernel result back to NumPy when the inputs were host."""
-    return _device.from_device(result) if host_out else result
-
-
-def _xp_solve_core(xp: Any, lhs: Any, rhs: Any, fallback: Any, dtype) -> Any:
-    """Device-level ridged batched solve shared by the xp kernels.
-
-    Mirrors :func:`_batched_solve_rows`: relative ridge, a pinv fallback
-    when the batched solve reports a singular system, and pass-through
-    of ``fallback`` rows whose ``lhs`` *and* ``rhs`` are entirely zero
-    (kept functional via ``xp.where`` so immutable-array libraries are
-    not ruled out).
-    """
-    n, rank = int(rhs.shape[0]), int(rhs.shape[1])
-    idx = xp.arange(rank)
-    scale = xp.sum(lhs[:, idx, idx], axis=-1) / rank
-    eye = xp.eye(rank, dtype=lhs.dtype)
-    ridged = lhs + (_ridge_for(dtype) * (1.0 + scale))[:, None, None] * eye
-    try:
-        solution = xp.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
-    except Exception:
-        # The library-specific "singular batch" exception types differ
-        # (numpy LinAlgError, torch's RuntimeError subclass); all mean
-        # the same thing here: use the minimum-norm pseudo-inverse.
-        solution = xp.matmul(xp.linalg.pinv(ridged), rhs[:, :, None])[:, :, 0]
-    if fallback is not None:
-        flat = xp.reshape(lhs, (n, -1))
-        inactive = ~(xp.any(flat != 0, axis=1) | xp.any(rhs != 0, axis=1))
-        solution = xp.where(inactive[:, None], fallback, solution)
-    return solution
-
-
-def _xp_solve_rows(
-    lhs: Any,
-    rhs: Any,
-    fallback: Any | None = None,
-) -> Any:
-    """Batched ridge solve on the active array module."""
-    xp = _device.get_array_module()
-    dtype = result_dtype(lhs, rhs, fallback)
-    host_out = _xp_is_host(lhs) and _xp_is_host(rhs) and _xp_is_host(fallback)
-    lhs_x = _device.to_device(lhs, dtype=dtype)
-    rhs_x = _device.to_device(rhs, dtype=dtype)
-    if int(rhs_x.shape[0]) == 0:
-        return _xp_maybe_host(xp.asarray(rhs_x, copy=True), host_out)
-    fb = None if fallback is None else _device.to_device(fallback, dtype=dtype)
-    return _xp_maybe_host(
-        _xp_solve_core(xp, lhs_x, rhs_x, fb, dtype), host_out
-    )
-
-
-def _xp_mttkrp_chain(
-    xp: Any,
-    tensor: Any,
-    mats: Sequence[Any],
-    mode: int | None,
-    weights: Any | None = None,
-) -> Any:
-    """Device-level tensordot/broadcast MTTKRP chain (no Khatri-Rao)."""
-    ndim = tensor.ndim
-    others = [axis for axis in range(ndim) if axis != mode]
-    out = tensor
-    appended = False
-    # Descending order keeps every remaining mode at its original axis.
-    for axis in sorted(others, reverse=True):
-        mat = mats[axis]
-        if not appended:
-            if weights is not None:
-                mat = mat * weights[None, :]
-            out = xp.tensordot(out, mat, axes=((axis,), (0,)))
-            appended = True
-        else:
-            shape = [1] * out.ndim
-            shape[axis] = int(mat.shape[0])
-            shape[-1] = int(mat.shape[1])
-            out = xp.sum(out * xp.reshape(mat, tuple(shape)), axis=axis)
-    return out
-
-
-def _xp_accumulate_normal_equations(
-    coords: tuple[np.ndarray, ...],
-    values: Any,
-    factors: Sequence[Any],
-    mode: int,
-) -> tuple[Any, Any]:
-    """Dense-contraction accumulation (Eq. 14-15) on the array module.
-
-    The same strategy as :func:`_batched_accumulate_normal_equations`:
-    scatter the values and the observation indicator to dense device
-    arrays, then run both MTTKRP chains on the device.
-    """
-    xp = _device.get_array_module()
-    dtype = result_dtype(values, *factors)
-    host_out = _xp_is_host(values) and all(_xp_is_host(f) for f in factors)
-    mats = [_device.to_device(f, dtype=dtype) for f in factors]
-    rank = int(mats[0].shape[1])
-    dim = int(mats[mode].shape[0])
-    vals = _device.to_device(values, dtype=dtype)
-    if int(vals.shape[0]) == 0:
-        return (
-            _xp_maybe_host(
-                xp.zeros((dim, rank, rank), dtype=mats[0].dtype), host_out
-            ),
-            _xp_maybe_host(
-                xp.zeros((dim, rank), dtype=mats[0].dtype), host_out
-            ),
-        )
-    shape = tuple(int(m.shape[0]) for m in mats)
-    idx = tuple(_device.to_device(c) for c in coords)
-    dense_values = xp.zeros(shape, dtype=mats[0].dtype)
-    dense_values[idx] = vals
-    indicator = xp.zeros(shape, dtype=mats[0].dtype)
-    indicator[idx] = 1.0
-    big_c = _xp_mttkrp_chain(xp, dense_values, mats, mode)
-    pairs = [
-        xp.reshape(
-            m[:, :, None] * m[:, None, :], (int(m.shape[0]), rank * rank)
-        )
-        for m in mats
-    ]
-    big_b = xp.reshape(
-        _xp_mttkrp_chain(xp, indicator, pairs, mode), (dim, rank, rank)
-    )
-    return _xp_maybe_host(big_b, host_out), _xp_maybe_host(big_c, host_out)
-
-
-def _xp_temporal_sweep(
-    big_b: Any,
-    big_c: Any,
-    temporal: Any,
-    *,
-    lambda1: float,
-    lambda2: float,
-    period: int,
-) -> Any:
-    """Four-color batched Gauss-Seidel sweep on the array module.
-
-    The same coloring (and therefore the same valid Gauss-Seidel
-    ordering) as :func:`_batched_temporal_sweep`.
-    """
-    xp = _device.get_array_module()
-    dtype = result_dtype(big_b, big_c, temporal)
-    host_out = (
-        _xp_is_host(big_b) and _xp_is_host(big_c) and _xp_is_host(temporal)
-    )
-    b_x = _device.to_device(big_b, dtype=dtype)
-    c_x = _device.to_device(big_c, dtype=dtype)
-    # to_device may be zero-copy; the sweep mutates, so copy explicitly.
-    out = xp.asarray(_device.to_device(temporal, dtype=dtype), copy=True)
-    length, rank = int(out.shape[0]), int(out.shape[1])
-    idx = xp.arange(length)
-
-    def counts(lag: int) -> Any:
-        has_left = xp.astype(idx >= lag, b_x.dtype)
-        has_right = xp.astype(idx < length - lag, b_x.dtype)
-        return has_left + has_right
-
-    diag = lambda1 * counts(1) + lambda2 * counts(period)
-    eye = xp.eye(rank, dtype=b_x.dtype)
-    zero_row = xp.zeros((1, rank), dtype=b_x.dtype)
-
-    def neighbor_sums(lag: int, rows: Any) -> Any:
-        left = rows - lag
-        has_left = left >= 0
-        li = xp.where(has_left, left, xp.zeros_like(left))
-        total = xp.where(has_left[:, None], out[li, :], zero_row)
-        right = rows + lag
-        has_right = right < length
-        ri = xp.where(has_right, right, xp.zeros_like(right))
-        return total + xp.where(has_right[:, None], out[ri, :], zero_row)
-
-    colors = (idx % 2) + 2 * ((idx // period) % 2)
-    for color in range(4):
-        rows = xp.nonzero(colors == color)[0]
-        if int(rows.shape[0]) == 0:
-            continue
-        lhs = b_x[rows, ...] + diag[rows][:, None, None] * eye
-        rhs = (
-            c_x[rows, ...]
-            + lambda1 * neighbor_sums(1, rows)
-            + lambda2 * neighbor_sums(period, rows)
-        )
-        out[rows, ...] = _xp_solve_core(xp, lhs, rhs, out[rows, ...], dtype)
-    return _xp_maybe_host(out, host_out)
-
-
-def _xp_mttkrp(
-    tensor: Any,
-    factors: Sequence[Any],
-    mode: int | None,
-    weights: Any | None = None,
-) -> Any:
-    """Dense MTTKRP on the array module (``mode=None`` contracts all)."""
-    xp = _device.get_array_module()
-    dtype = result_dtype(
-        tensor, weights, *[f for f in factors if f is not None]
-    )
-    host_out = (
-        _xp_is_host(tensor)
-        and _xp_is_host(weights)
-        and all(_xp_is_host(f) for f in factors)
-    )
-    t_x = _device.to_device(tensor, dtype=dtype)
-    w_x = None if weights is None else _device.to_device(weights, dtype=dtype)
-    if t_x.ndim == 1 and mode is not None:
-        # Single-mode tensor: the empty Khatri-Rao product is all-ones.
-        rank = int(next(f.shape[1] for f in factors if f is not None))
-        row = (
-            w_x[None, :]
-            if w_x is not None
-            else xp.ones((1, rank), dtype=t_x.dtype)
-        )
-        return _xp_maybe_host(t_x[:, None] * row, host_out)
-    mats = [
-        None if f is None else _device.to_device(f, dtype=dtype)
-        for f in factors
-    ]
-    return _xp_maybe_host(
-        _xp_mttkrp_chain(xp, t_x, mats, mode, w_x), host_out
-    )
-
-
-def _xp_kruskal_reconstruct_rows(
-    factors: Sequence[Any],
-    weight_rows: Any,
-    coords: tuple[np.ndarray, ...] | None = None,
-) -> Any:
-    """Batched Kruskal reconstruction on the array module.
-
-    The same shape-dependent strategy switch as the batched backend
-    (broadcast chain for small batches, shared Khatri-Rao matmul
-    otherwise); ``coords`` gathers from the dense stack.
-    """
-    xp = _device.get_array_module()
-    dtype = result_dtype(weight_rows, *factors)
-    host_out = (
-        _xp_is_host(weight_rows)
-        and all(_xp_is_host(f) for f in factors)
-        and (coords is None or _xp_is_host(coords))
-    )
-    w_x = _device.to_device(weight_rows, dtype=dtype)
-    if w_x.ndim != 2:
-        raise ShapeError(
-            f"weight rows must be 2-D (batch, rank), got "
-            f"{tuple(w_x.shape)}"
-        )
-    mats = [_device.to_device(f, dtype=dtype) for f in factors]
-    shape = tuple(int(m.shape[0]) for m in mats)
-    rank = int(w_x.shape[1])
-    n_batch = int(w_x.shape[0])
-    if len(mats) == 1:
-        dense = xp.matmul(w_x, xp.matrix_transpose(mats[0]))
-    elif n_batch < shape[-1]:
-        out = w_x
-        for mat in mats[:-1]:
-            out = out[..., None, :] * mat
-        flat = xp.reshape(out, (-1, rank))
-        dense = xp.reshape(
-            xp.matmul(flat, xp.matrix_transpose(mats[-1])),
-            (n_batch,) + shape,
-        )
-    else:
-        kr = mats[0]
-        for mat in mats[1:]:
-            kr = xp.reshape(kr[:, None, :] * mat[None, :, :], (-1, rank))
-        dense = xp.reshape(
-            xp.matmul(w_x, xp.matrix_transpose(kr)), (n_batch,) + shape
-        )
-    if coords is None:
-        return _xp_maybe_host(dense, host_out)
-    idx = tuple(_device.to_device(c) for c in coords)
-    return _xp_maybe_host(dense[idx], host_out)
-
-
-def _xp_rls_update_rows(
-    factor: Any,
-    cov: Any,
-    rows: Any,
-    regressors: Any,
-    targets: Any,
-    beta: float,
-) -> None:
-    """Round-batched RLS recursions on the array module.
-
-    The round bookkeeping (tiny integer arrays) stays on the host; each
-    round's rank-1 updates run on the device.  ``factor`` and ``cov``
-    are updated in place at the end, whether they are NumPy arrays or
-    device-native tensors.
-    """
-    xp = _device.get_array_module()
-    rows_h = np.asarray(_device.from_device(rows))
-    if rows_h.size == 0:
-        return
-    dtype = result_dtype(factor, cov, regressors, targets)
-    f_x = xp.asarray(_device.to_device(factor, dtype=dtype), copy=True)
-    p_x = xp.asarray(_device.to_device(cov, dtype=dtype), copy=True)
-    order = np.argsort(rows_h, kind="stable")
-    rows_sorted = rows_h[order]
-    x_all = _device.to_device(
-        np.asarray(_device.from_device(regressors))[order], dtype=dtype
-    )
-    t_all = _device.to_device(
-        np.asarray(_device.from_device(targets))[order], dtype=dtype
-    )
-    is_start = np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
-    starts = np.flatnonzero(is_start)
-    group = np.cumsum(is_start) - 1
-    position = np.arange(rows_sorted.size) - starts[group]
-    for round_index in range(int(position.max()) + 1):
-        sel = np.flatnonzero(position == round_index)
-        r = _device.to_device(rows_sorted[sel])
-        sel_x = _device.to_device(sel)
-        x = x_all[sel_x, :]
-        p = p_x[r, ...]
-        px = xp.matmul(p, x[:, :, None])[:, :, 0]
-        gain = px / (beta + xp.sum(x * px, axis=-1))[:, None]
-        error = t_all[sel_x] - xp.sum(f_x[r, ...] * x, axis=-1)
-        f_x[r, ...] = f_x[r, ...] + gain * error[:, None]
-        p_x[r, ...] = (p - gain[:, :, None] * px[:, None, :]) / beta
-    if isinstance(factor, np.ndarray):
-        factor[...] = _device.from_device(f_x)
-        cov[...] = _device.from_device(p_x)
-    else:
-        factor[...] = f_x
-        cov[...] = p_x
 
 
 # ---------------------------------------------------------------------------
@@ -1525,10 +1253,6 @@ class KernelBackend:
     #: GPU).  The shipped ``sparse``/``auto`` backends opt out: the
     #: per-entry CPU path *is* their execution strategy.
     keeps_dense_steps: bool = True
-    #: Pin every kernel of this backend to one computation dtype
-    #: (``"float32"``/``"float64"``).  ``None`` (every shipped backend)
-    #: follows the inputs — see :func:`result_dtype`.
-    dtype: str | None = None
     #: Host↔device boundary converters.  ``None`` (every CPU backend)
     #: means all arrays are host-side and the dynamic phase adds zero
     #: overhead; the ``"xp"`` backend maps these to
@@ -1636,28 +1360,27 @@ def use_backend(name: str):
         _BACKEND_OVERRIDES.reset(token)
 
 
-register_backend(
-    KernelBackend(
-        name="batched",
-        solve_rows=_batched_solve_rows,
-        accumulate_normal_equations=_batched_accumulate_normal_equations,
-        temporal_sweep=_batched_temporal_sweep,
-        mttkrp=_batched_mttkrp,
-        rls_update_rows=_batched_rls_update_rows,
-        kruskal_reconstruct_rows=_batched_kruskal_reconstruct_rows,
-    )
+_BATCHED = KernelBackend(
+    name="batched",
+    solve_rows=partial(_solve_rows, _NUMPY),
+    accumulate_normal_equations=partial(_accumulate_normal_equations, _NUMPY),
+    temporal_sweep=partial(_temporal_sweep, _NUMPY),
+    mttkrp=partial(_mttkrp, _NUMPY),
+    rls_update_rows=partial(_rls_update_rows, _NUMPY),
+    kruskal_reconstruct_rows=partial(_kruskal_reconstruct_rows, _NUMPY),
 )
+register_backend(_BATCHED)
 # The sparse backend specializes the kernels whose cost scales with the
 # subtensor volume; the remaining three already run over per-row systems
 # or observed entries only, so the batched implementations are reused.
 register_backend(
     KernelBackend(
         name="sparse",
-        solve_rows=_batched_solve_rows,
+        solve_rows=_BATCHED.solve_rows,
         accumulate_normal_equations=_sparse_accumulate_normal_equations,
-        temporal_sweep=_batched_temporal_sweep,
+        temporal_sweep=_BATCHED.temporal_sweep,
         mttkrp=_sparse_mttkrp,
-        rls_update_rows=_batched_rls_update_rows,
+        rls_update_rows=_BATCHED.rls_update_rows,
         kruskal_reconstruct_rows=_sparse_kruskal_reconstruct_rows,
         keeps_dense_steps=False,
     )
@@ -1665,28 +1388,30 @@ register_backend(
 register_backend(
     KernelBackend(
         name="auto",
-        solve_rows=_batched_solve_rows,
+        solve_rows=_BATCHED.solve_rows,
         accumulate_normal_equations=_auto_accumulate_normal_equations,
-        temporal_sweep=_batched_temporal_sweep,
+        temporal_sweep=_BATCHED.temporal_sweep,
         mttkrp=_auto_mttkrp,
-        rls_update_rows=_batched_rls_update_rows,
+        rls_update_rows=_BATCHED.rls_update_rows,
         kruskal_reconstruct_rows=_auto_kruskal_reconstruct_rows,
         keeps_dense_steps=False,
     )
 )
-# The xp backend runs the dense strategy on the array module selected
+# The xp backend runs the same dense bodies on the array module selected
 # by repro.tensor.device; keeps_dense_steps stays True so its kernels
 # see all the dynamic-phase work (the CPU per-entry fast path would
 # bypass the device).
 register_backend(
     KernelBackend(
         name="xp",
-        solve_rows=_xp_solve_rows,
-        accumulate_normal_equations=_xp_accumulate_normal_equations,
-        temporal_sweep=_xp_temporal_sweep,
-        mttkrp=_xp_mttkrp,
-        rls_update_rows=_xp_rls_update_rows,
-        kruskal_reconstruct_rows=_xp_kruskal_reconstruct_rows,
+        solve_rows=_on_array_module(_solve_rows),
+        accumulate_normal_equations=_on_array_module(
+            _accumulate_normal_equations
+        ),
+        temporal_sweep=_on_array_module(_temporal_sweep),
+        mttkrp=_on_array_module(_mttkrp),
+        rls_update_rows=_on_array_module(_rls_update_rows, in_place=2),
+        kruskal_reconstruct_rows=_on_array_module(_kruskal_reconstruct_rows),
         to_device=_device.to_device,
         from_device=_device.from_device,
     )
@@ -1827,6 +1552,11 @@ def kruskal_reconstruct_rows(
     them by per-entry gather (``O(nnz N R)``), dense backends
     reconstruct and gather.
     """
+    if getattr(weight_rows, "ndim", None) != 2 and np.ndim(weight_rows) != 2:
+        raise ShapeError(
+            f"weight rows must be 2-D (batch, rank), got "
+            f"{tuple(np.shape(weight_rows))}"
+        )
     if coords is not None and len(coords) != len(factors) + 1:
         raise ShapeError(
             f"coords must hold {len(factors) + 1} index arrays "

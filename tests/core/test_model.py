@@ -77,24 +77,3 @@ class TestRingBuffer:
         np.testing.assert_array_equal(
             state.previous_vector, state.temporal_buffer[-1]
         )
-
-    def test_push_rolls(self):
-        state = make_state(period=3)
-        old_second = state.temporal_buffer[1].copy()
-        new = np.array([100.0, 200.0])
-        state.push_temporal(new)
-        np.testing.assert_array_equal(state.temporal_buffer[-1], new)
-        np.testing.assert_array_equal(state.temporal_buffer[0], old_second)
-        assert state.temporal_buffer.shape == (3, 2)
-
-    def test_push_wrong_length(self):
-        state = make_state()
-        with pytest.raises(ShapeError):
-            state.push_temporal(np.ones(3))
-
-    def test_m_pushes_cycle_buffer(self):
-        state = make_state(period=3)
-        vectors = [np.full(2, float(i)) for i in range(3)]
-        for v in vectors:
-            state.push_temporal(v)
-        np.testing.assert_array_equal(state.temporal_buffer, np.stack(vectors))

@@ -129,12 +129,6 @@ class TestConsistencyWithScalar:
 
 
 class TestForecast:
-    def test_one_step_equals_forecast_row(self):
-        state = make_state()
-        np.testing.assert_allclose(
-            state.forecast_one_step(), state.forecast(1)[0]
-        )
-
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
             make_state().forecast(0)

@@ -166,30 +166,70 @@ def test_dtype_axis_detects_a_float64_upcasting_backend():
         kernels._BACKENDS.pop("upcast-probe")
 
 
-def test_backend_pinned_dtype_wins_over_inputs():
-    """`KernelBackend.dtype` pins the whole seam to one dtype."""
-    clone = kernels._BACKENDS["batched"]
-    kernels.register_backend(
-        kernels.KernelBackend(
-            name="pinned-f32-probe",
-            solve_rows=clone.solve_rows,
-            accumulate_normal_equations=clone.accumulate_normal_equations,
-            temporal_sweep=clone.temporal_sweep,
-            mttkrp=clone.mttkrp,
-            rls_update_rows=clone.rls_update_rows,
-            kruskal_reconstruct_rows=clone.kruskal_reconstruct_rows,
-            dtype="float32",
-        )
+def _copied(value):
+    """A deep copy of a kernel argument (arrays inside tuples/lists too)."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(item) for item in value)
+    return value
+
+
+def _assert_bit_identical(got, expected):
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expected)
+        for part, want in zip(got, expected):
+            _assert_bit_identical(part, want)
+        return
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes(), "xp and batched differ"
+
+
+def _lockstep(kernel):
+    """Run ``kernel`` on "xp" and "batched" and demand identical bits.
+
+    ``rls_update_rows`` works in place, so its updated ``factor`` and
+    ``cov`` are compared instead of the (absent) return value.
+    """
+    xp_kernel = getattr(kernels._BACKENDS["xp"], kernel)
+    batched_kernel = getattr(kernels._BACKENDS["batched"], kernel)
+
+    def run(*args, **kwargs):
+        twin = _copied(args)
+        got = xp_kernel(*args, **kwargs)
+        expected = batched_kernel(*twin, **kwargs)
+        if kernel == "rls_update_rows":
+            _assert_bit_identical(tuple(args[:2]), tuple(twin[:2]))
+        else:
+            _assert_bit_identical(got, expected)
+        return got
+
+    return run
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=[np.dtype(d).name for d in DTYPES])
+@pytest.mark.parametrize("kernel", sorted({kernel for kernel, _, _ in _CASES}))
+def test_xp_on_numpy_is_bit_identical_to_batched(kernel, dtype):
+    """One dense body: "xp" on the NumPy module *is* "batched".
+
+    Every conformance case of ``kernel`` runs through a probe whose
+    kernels call both backends on the same inputs and require equal
+    bits.
+    """
+    from repro.tensor import device
+
+    probe = kernels.KernelBackend(
+        name="xp-batched-lockstep",
+        **{name: _lockstep(name) for name, _, _ in _CASES},
     )
+    checks = [check for name, _, check in _CASES if name == kernel]
+    assert checks
+    kernels.register_backend(probe)
     try:
-        rng = np.random.default_rng(3)
-        tensor = rng.normal(size=(4, 5, 6))
-        factors = [rng.normal(size=(s, 2)) for s in (4, 5, 6)]
-        with kernels.use_backend("pinned-f32-probe"):
-            out = kernels.mttkrp(tensor, factors, 0)
-        assert out.dtype == np.float32
-        with kernels.use_backend("batched"):
-            expected = kernels.mttkrp(tensor, factors, 0)
-        np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-4)
+        with device.use_array_module("numpy"):
+            for check in checks:
+                check(probe.name, dtype)
     finally:
-        kernels._BACKENDS.pop("pinned-f32-probe")
+        kernels._BACKENDS.pop(probe.name)

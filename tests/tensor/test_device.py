@@ -11,6 +11,7 @@ leg that installs torch-CPU.
 """
 
 import importlib.util
+import types
 
 import numpy as np
 import pytest
@@ -140,6 +141,39 @@ class TestXpBackendRegistration:
                 factors, rng.normal(size=(2, 2))
             )
         assert isinstance(out, np.ndarray)
+
+    def test_xp_writes_in_place_updates_back_through_a_copying_module(
+        self, monkeypatch
+    ):
+        # A device module's asarray copies host arrays; the boundary must
+        # write the RLS updates of that copy back into the caller's
+        # arrays, exactly as the NumPy binding updates them directly.
+        copying = types.SimpleNamespace(
+            **{
+                **vars(np),
+                "asarray": lambda x, dtype=None, copy=None: np.array(
+                    x, dtype=dtype, copy=True
+                ),
+            }
+        )
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 4, size=12)
+        regressors = rng.normal(size=(12, 2))
+        targets = rng.normal(size=12)
+        factor = rng.normal(size=(4, 2))
+        cov = np.tile(5.0 * np.eye(2), (4, 1, 1))
+        factor_xp, cov_xp = factor.copy(), cov.copy()
+        with kernels.use_backend("batched"):
+            kernels.rls_update_rows(
+                factor, cov, rows, regressors, targets, 0.9
+            )
+        monkeypatch.setattr(device, "get_array_module", lambda: copying)
+        with kernels.use_backend("xp"):
+            kernels.rls_update_rows(
+                factor_xp, cov_xp, rows, regressors, targets, 0.9
+            )
+        np.testing.assert_array_equal(factor_xp, factor)
+        np.testing.assert_array_equal(cov_xp, cov)
 
 
 @pytest.mark.skipif(not HAVE_TORCH, reason="torch not installed")

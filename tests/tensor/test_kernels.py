@@ -12,6 +12,8 @@ end-to-end ALS agreement across backends.
 """
 
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +147,50 @@ class TestSolveRows:
     def test_empty_batch(self):
         out = kernels.solve_rows(np.zeros((0, 3, 3)), np.zeros((0, 3)))
         assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("backend", ["batched", "xp"])
+    def test_fallback_catches_singular_errors_only(self, backend, monkeypatch):
+        # A singular batch falls back to the pseudo-inverse; any other
+        # failure of the batched solve must surface, not be papered over.
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(5, 3, 3))
+        lhs = base @ base.transpose(0, 2, 1) + np.eye(3)
+        rhs = rng.normal(size=(5, 3))
+        with kernels.use_backend(backend):
+            expected = kernels.solve_rows(lhs, rhs)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with kernels.use_backend(backend):
+            out = kernels.solve_rows(lhs, rhs)
+        np.testing.assert_allclose(out, expected, rtol=1e-8, atol=1e-10)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a singular system")
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        with kernels.use_backend(backend):
+            with pytest.raises(RuntimeError, match="not a singular"):
+                kernels.solve_rows(lhs, rhs)
+
+    def test_singular_errors_add_torch_linalg_error_once_loaded(
+        self, monkeypatch
+    ):
+        class TorchLinAlgError(RuntimeError):
+            pass
+
+        monkeypatch.delitem(sys.modules, "torch", raising=False)
+        assert kernels._singular_errors() == (np.linalg.LinAlgError,)
+        fake_torch = types.SimpleNamespace(
+            linalg=types.SimpleNamespace(LinAlgError=TorchLinAlgError)
+        )
+        monkeypatch.setitem(sys.modules, "torch", fake_torch)
+        assert kernels._singular_errors() == (
+            np.linalg.LinAlgError,
+            TorchLinAlgError,
+        )
 
 
 class TestSegmentSum:
