@@ -70,6 +70,7 @@ from repro.core.model import SofiaModelState, SofiaStep
 from repro.core.outliers import robust_step_batch, robust_step_batch_at
 from repro.exceptions import ShapeError
 from repro.tensor import kernels
+from repro.tensor.masked import keep_mask, masked_fill
 from repro.tensor.validation import check_mask
 
 __all__ = ["dynamic_step_batch"]
@@ -160,7 +161,12 @@ def dynamic_step_batch(
     #     split runs only at the observed coordinates — the dense
     #     element-wise ψ/ρ pass over the stacked batch, which dominates
     #     very large sparse batches, is skipped entirely — and the
-    #     gradient contractions gather per entry.
+    #     gradient contractions gather per entry.  Above it, the three
+    #     masked selects of the batch (outliers, scale growth, residual)
+    #     share one integer keep mask and are bitwise ANDs
+    #     (:func:`~repro.tensor.masked.masked_fill`): missing cells may
+    #     hold NaN or ±inf, and they are dropped by their bits, never
+    #     read as numbers.
     if _takes_sparse_path(ms, config):
         coords = np.nonzero(ms)
         observed_values = ys[coords]
@@ -186,6 +192,7 @@ def dynamic_step_batch(
                 coords, residual_values, mats, mode, dim=dim
             )
     else:
+        keep = keep_mask(ms, np.result_type(ys, predictions, state.sigma))
         outliers, state.sigma = robust_step_batch(
             ys,
             predictions,
@@ -194,9 +201,12 @@ def dynamic_step_batch(
             k=config.huber_k,
             phi=config.phi,
             ck=config.biweight_c,
+            keep=keep,
         )
+        residuals = ys - outliers
+        residuals -= predictions
         residuals = kernels.to_device(
-            np.where(ms, ys - outliers - predictions, 0.0)
+            masked_fill(residuals, keep, 0.0, out=residuals)
         )
         kernel_factors = dev_factors
         batch_weights = dev_forecasts

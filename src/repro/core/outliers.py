@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.tensor.kernels import soft_threshold as _kernel_soft_threshold
+from repro.tensor.masked import keep_mask, masked_fill
 from repro.tensor.validation import (
     as_float as _as_float,
 )
@@ -80,7 +81,9 @@ def _robust_terms(
     minimum.  The one rounding change is the cube ``t*t*t`` in place
     of ``t**3`` (libm ``pow``), which can differ in the last place.
     Entries are never masked here: missing cells may hold NaN, which
-    stays in its cell and is discarded by the callers' ``np.where``.
+    stays in its cell until the caller's select replaces it (the batch
+    form's :func:`~repro.tensor.masked.masked_fill`, the single-slice
+    form's ``np.where``).
     """
     z = np.asarray(residual / sigma)
     excess = np.empty_like(z)
@@ -239,6 +242,7 @@ def robust_step_batch(
     k: float = 2.0,
     phi: float = 0.01,
     ck: float = 2.52,
+    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 21 + Eq. 22 over a mini-batch in one vectorized pass.
 
@@ -264,6 +268,10 @@ def robust_step_batch(
         The ``(*shape,)`` error scale carried into the batch.
     mask:
         Stacked ``(B, *shape)`` observation indicator.
+    keep:
+        :func:`~repro.tensor.masked.keep_mask` of ``mask`` for the
+        result dtype, when the caller selects with the same mask again
+        and has built it already; built here otherwise.
 
     Returns
     -------
@@ -281,6 +289,9 @@ def robust_step_batch(
         )
     m = check_mask(mask, y.shape)
     excess, growth = _robust_terms(y - yhat, sg, k=k, phi=phi, ck=ck)
-    outliers = np.where(m, excess, 0.0)
-    new_sigma = sg * np.sqrt(np.prod(np.where(m, growth, 1.0), axis=0))
+    if keep is None:
+        keep = keep_mask(m, excess.dtype)
+    outliers = masked_fill(excess, keep, 0.0, out=excess)
+    masked_fill(growth, keep, 1.0, out=growth)
+    new_sigma = sg * np.sqrt(np.prod(growth, axis=0))
     return outliers, new_sigma

@@ -537,6 +537,19 @@ class SessionManager:
         trace = self.tracer.sample(trace_id)
         accepted_at = self._scheduler.now() if trace else 0.0
         y, m = self._read_slice(session, subtensor, mask)
+        return self._submit(session, y, m, trace, accepted_at), trace
+
+    def _submit(
+        self,
+        session: _Session,
+        y: np.ndarray,
+        m: np.ndarray,
+        trace: str | None,
+        accepted_at: float,
+    ) -> int:
+        """Buffer one slice :meth:`_read_slice` already cast and checked;
+        returns its sequence number."""
+        session_id = session.session_id
         with session.lock:
             if session.closing:
                 raise SessionNotFoundError(
@@ -578,7 +591,7 @@ class SessionManager:
                 ),
             )
         self.metrics.increment("slices_ingested")
-        return seq, trace
+        return seq
 
     def results(self, session_id: str, since_seq: int = 0) -> list:
         """Completed slices with ``seq >= since_seq``, oldest first.
@@ -619,7 +632,9 @@ class SessionManager:
         with session.lock:
             self._raise_on_failure(session)
             self._require_initialized(session, "impute")
-        seq = self.ingest(session_id, y, m)
+        trace = self.tracer.sample(None)
+        accepted_at = self._scheduler.now() if trace else 0.0
+        seq = self._submit(session, y, m, trace, accepted_at)
         self._scheduler.drain(session_id)
         with session.lock:
             self._raise_on_failure(session)
@@ -1075,10 +1090,10 @@ class SessionManager:
             # written against (and what GET /metrics reports as
             # ingest_latency p50/p95/p99).
             committed_at = self._scheduler.now()
-            for item in plan.items:
-                self.metrics.observe_latency(
-                    "ingest", committed_at - item.arrived_at
-                )
+            self.metrics.observe_latencies(
+                "ingest",
+                [committed_at - item.arrived_at for item in plan.items],
+            )
             # Quality telemetry: the flush's per-slice aggregates and
             # post-batch error scale land in the session's sliding
             # window (scalars only, no arrays).

@@ -14,6 +14,7 @@ consistent.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 
@@ -107,22 +108,12 @@ class LatencyHistogram:
     def record(self, seconds: float) -> None:
         """Fold one observation in (negative values clamp to zero)."""
         seconds = max(float(seconds), 0.0)
-        index = self._bucket_index(seconds)
-        self._counts[index] += 1
+        # The first bucket whose upper bound is >= seconds.
+        self._counts[bisect.bisect_left(self._bounds, seconds)] += 1
         self.count += 1
         self.total_seconds += seconds
         if seconds > self.max_seconds:
             self.max_seconds = seconds
-
-    def _bucket_index(self, seconds: float) -> int:
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if seconds <= self._bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     def percentile(self, q: float) -> float:
         """The ``q``-quantile in seconds (``q`` in [0, 1]); 0 if empty."""
@@ -208,13 +199,21 @@ class ServingMetrics:
 
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one latency sample into histogram ``name``."""
+        self.observe_latencies(name, (seconds,))
+
+    def observe_latencies(self, name: str, samples) -> None:
+        """Record every latency sample in ``samples`` into histogram
+        ``name`` under one lock acquisition (a flush's per-slice
+        ingest latencies)."""
         if name not in self._histograms:
             raise KeyError(
                 f"unknown latency histogram {name!r}; "
                 f"known: {_HISTOGRAMS}"
             )
+        histogram = self._histograms[name]
         with self._lock:
-            self._histograms[name].record(seconds)
+            for seconds in samples:
+                histogram.record(seconds)
 
     def observe_flush(self, n_slices: int, seconds: float) -> None:
         """Record one scheduler flush of ``n_slices`` slices.

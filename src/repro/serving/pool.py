@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.config import SofiaConfig
 from repro.core.sofia import Sofia
 from repro.tensor import kernels
+from repro.tensor.masked import keep_mask, masked_fill
 
 __all__ = [
     "FlushRequest",
@@ -105,17 +106,19 @@ def _quality_aggregates(seqs, steps, ys, masks) -> list[tuple]:
     only, no new linear algebra — taken over the whole ``(B, …)`` batch
     with one reduction per quantity.  ``residual_ss`` and ``signal_ss``
     sum the squared one-step-ahead forecast residual and the squared
-    data over observed entries; missing cells may hold NaN, so they are
-    excluded by ``np.where`` before any arithmetic.
+    data over observed entries; missing cells may hold NaN, so both are
+    zeroed by their bits (:func:`~repro.tensor.masked.masked_fill`)
+    before any arithmetic reads them.
     """
     n = len(seqs)
     mask = np.asarray(masks, dtype=bool).reshape(n, -1)
-    # One np.where zeroes the missing cells, NaN included; after it the
-    # residual can be masked by multiplying, which is exact and cheaper.
-    signal = np.where(mask, np.asarray(ys, dtype=float).reshape(n, -1), 0.0)
+    keep = keep_mask(mask, np.float64)
+    signal = masked_fill(
+        np.asarray(ys, dtype=np.float64).reshape(n, -1), keep, 0.0
+    )
     forecast = np.asarray([step.prediction for step in steps], dtype=float)
     residual = signal - forecast.reshape(n, -1)
-    residual *= mask
+    masked_fill(residual, keep, 0.0, out=residual)
     outliers = np.asarray([step.outliers for step in steps]).reshape(n, -1)
     return list(
         zip(

@@ -288,6 +288,53 @@ class TestFiniteValueGuard:
             assert durable.read_bytes() == saved
 
 
+class TestImputeReadsSliceOnce:
+    """``impute`` casts and checks its slice once, then buffers that
+    same slice; every rejection still comes before anything is
+    buffered."""
+
+    def test_one_read_per_impute(self, checkpoint, monkeypatch):
+        slices, masks = make_session_stream(seed=16, n_steps=3)
+        reads = []
+        real = SessionManager._read_slice
+
+        def spy(session, subtensor, mask):
+            reads.append(session.session_id)
+            return real(session, subtensor, mask)
+
+        monkeypatch.setattr(SessionManager, "_read_slice", staticmethod(spy))
+        with SessionManager(**DETERMINISTIC) as manager:
+            manager.create_session("s", checkpoint=checkpoint)
+            for t in range(3):
+                before = len(reads)
+                imputed = manager.impute("s", slices[t], masks[t])
+                assert len(reads) == before + 1
+                np.testing.assert_array_equal(
+                    imputed[masks[t]], slices[t][masks[t]]
+                )
+            manager.ingest("s", slices[0], masks[0])
+            assert len(reads) == 4
+            assert manager.session_stats("s")["next_seq"] == 4
+
+    @pytest.mark.parametrize("bad", ["values_shape", "mask_shape"])
+    def test_shape_error_buffers_nothing(self, checkpoint, bad):
+        slices, masks = make_session_stream(seed=17, n_steps=2)
+        values, mask = slices[1], masks[1]
+        if bad == "values_shape":
+            values, mask = values[:-1], mask[:-1]
+        else:
+            mask = mask[:-1]
+        with SessionManager(**DETERMINISTIC) as manager:
+            manager.create_session("s", checkpoint=checkpoint)
+            manager.impute("s", slices[0], masks[0])
+            with pytest.raises(ShapeError):
+                manager.impute("s", values, mask)
+            stats = manager.session_stats("s")
+            assert stats["next_seq"] == 1
+            assert manager.session_info("s")["pending"] == 0
+            assert manager.session_info("s")["status"] == "ready"
+
+
 class TestValidationAndFailure:
     def test_duplicate_session_rejected(self):
         with SessionManager(**DETERMINISTIC) as manager:

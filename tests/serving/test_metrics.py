@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import LatencyHistogram, ServingMetrics, SessionManager
 
@@ -57,6 +59,65 @@ class TestLatencyHistogram:
             LatencyHistogram(buckets_per_decade=0)
         with pytest.raises(ValueError):
             LatencyHistogram().percentile(1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.lists(
+            st.one_of(
+                st.sampled_from(LatencyHistogram()._bounds),
+                st.just(0.0),
+                st.floats(-1.0, 0.0),
+                st.floats(0.0, 200.0),  # past the last bound: overflow
+            ),
+            max_size=300,
+        )
+    )
+    def test_batched_recording_equals_per_sample(self, samples):
+        # Bucket bounds, zero and negatives are where an off-by-one in
+        # the bucket search or the clamp would show.
+        per_sample = LatencyHistogram()
+        for seconds in samples:
+            per_sample.record(seconds)
+        metrics = ServingMetrics()
+        metrics.observe_latencies("ingest", samples)
+        got = metrics.snapshot()["ingest_latency"]
+        want = per_sample.summary()
+        for key in (
+            "count", "max_seconds", "p50_seconds", "p95_seconds",
+            "p99_seconds", "buckets",
+        ):
+            assert got[key] == want[key]
+        # Each sample sits in the first bucket whose upper bound
+        # reaches it (the overflow bucket past the last bound).
+        bounds = per_sample._bounds
+        want_counts = [0] * (len(bounds) + 1)
+        for seconds in samples:
+            seconds = max(seconds, 0.0)
+            index = next(
+                (i for i, bound in enumerate(bounds) if seconds <= bound),
+                len(bounds),
+            )
+            want_counts[index] += 1
+        assert per_sample._counts == want_counts
+
+    def test_observe_latencies_takes_the_lock_once(self):
+        metrics = ServingMetrics()
+        acquisitions = []
+        real = metrics._lock
+
+        class CountingLock:
+            def __enter__(self):
+                acquisitions.append(1)
+                return real.__enter__()
+
+            def __exit__(self, *exc_info):
+                return real.__exit__(*exc_info)
+
+        metrics._lock = CountingLock()
+        metrics.observe_latencies("ingest", [0.001, 0.002, 0.003])
+        assert len(acquisitions) == 1
+        metrics._lock = real
+        assert metrics.snapshot()["ingest_latency"]["count"] == 3
 
     def test_thread_safety_under_metrics_lock(self):
         metrics = ServingMetrics()
