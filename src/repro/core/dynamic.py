@@ -165,8 +165,9 @@ def dynamic_step_batch(
     #     masked selects of the batch (outliers, scale growth, residual)
     #     share one integer keep mask and are bitwise ANDs
     #     (:func:`~repro.tensor.masked.masked_fill`): missing cells may
-    #     hold NaN or ±inf, and they are dropped by their bits, never
-    #     read as numbers.
+    #     hold NaN, ±inf or any finite filler, so the observed stack is
+    #     zeroed there by its bits before the ψ/ρ arithmetic reads it
+    #     (a filler such as 1e300 would overflow its square).
     if _takes_sparse_path(ms, config):
         coords = np.nonzero(ms)
         observed_values = ys[coords]
@@ -193,6 +194,7 @@ def dynamic_step_batch(
             )
     else:
         keep = keep_mask(ms, np.result_type(ys, predictions, state.sigma))
+        ys = masked_fill(ys, keep, 0.0)
         outliers, state.sigma = robust_step_batch(
             ys,
             predictions,

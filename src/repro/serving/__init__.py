@@ -47,7 +47,6 @@ from repro.serving.observability import (
     percentile_from_buckets,
     render_prometheus,
 )
-from repro.serving.pool import FlushRequest, FlushResult
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
 from repro.serving.shard import (
     HashRing,
@@ -62,8 +61,6 @@ __all__ = [
     "TRACE_HEADER",
     "TRACE_STAGES",
     "CheckpointStore",
-    "FlushRequest",
-    "FlushResult",
     "ForecastResult",
     "HTTPServingClient",
     "HashRing",

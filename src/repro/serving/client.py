@@ -188,23 +188,12 @@ class HTTPServingClient:
     (``http://host:port``) without the version prefix.  The client is
     shard-aware: pointed at a ``repro-serve-router`` it drives the
     whole fleet through the one URL (the router proxies and the error
-    envelope survives the extra hop unchanged), and any ``307``/``308``
-    redirect a gateway or router answers — including redirects that
-    relocate a session onto its owning shard — is followed
-    transparently, re-issuing the original method and body, up to
-    ``max_redirects`` hops.
+    envelope survives the extra hop unchanged).
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        *,
-        timeout: float = 30.0,
-        max_redirects: int = 4,
-    ) -> None:
+    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self._base = base_url.rstrip("/") + "/v1"
         self._timeout = timeout
-        self._max_redirects = max_redirects
 
     # ------------------------------------------------------------------
     # Transport
@@ -212,33 +201,18 @@ class HTTPServingClient:
     def _call(
         self, method: str, path: str, body: bytes | None, headers: dict
     ) -> tuple[str, bytes]:
-        """One round trip, redirects followed: (Content-Type, body)."""
-        url = self._base + path
-        for _ in range(self._max_redirects + 1):
-            request = urllib.request.Request(
-                url, data=body, headers=headers, method=method
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self._timeout
-                ) as response:
-                    content_type = response.headers.get("Content-Type")
-                    return content_type or "", response.read()
-            except urllib.error.HTTPError as exc:
-                # urllib's own redirect handler refuses to re-send a
-                # body on 307/308, so sharded placement redirects land
-                # here; follow them ourselves, method and body intact.
-                if exc.code in (307, 308):
-                    location = exc.headers.get("Location")
-                    if location:
-                        exc.close()
-                        url = urllib.parse.urljoin(url, location)
-                        continue
-                raise self._map_error(exc) from None
-        raise SessionError(
-            f"{method} {path}: more than {self._max_redirects} "
-            "redirects; the gateway topology is looping"
+        """One round trip: (Content-Type, body)."""
+        request = urllib.request.Request(
+            self._base + path, data=body, headers=headers, method=method
         )
+        try:
+            with urllib.request.urlopen(
+                request, timeout=self._timeout
+            ) as response:
+                content_type = response.headers.get("Content-Type")
+                return content_type or "", response.read()
+        except urllib.error.HTTPError as exc:
+            raise self._map_error(exc) from None
 
     def _request(
         self,

@@ -45,8 +45,8 @@ body is JSON with nested float lists; a reply is binary when the
 request's ``Accept`` names ``application/octet-stream``.  Everything
 else — sessions, acks, stats, metrics, traces, errors, export/import —
 is JSON only.  Ingested and imputed values must be finite in either
-format.  The pre-versioning paths (``/sessions`` etc.) answer ``308 Permanent
-Redirect`` to their ``/v1`` equivalents for one release.
+format.  Paths outside ``/v1`` (the pre-versioning ``/sessions`` etc.)
+answer 404 with the error envelope below.
 
 Every error is a uniform JSON envelope::
 
@@ -182,17 +182,6 @@ class _Handler(BaseHTTPRequestHandler):
             status=_status_for(exc),
         )
 
-    def _send_redirect(self, location: str) -> None:
-        """308: the unversioned path moved under the API prefix."""
-        body = json.dumps({"location": location}).encode("utf-8")
-        self.server.manager.metrics.observe_http(308)
-        self.send_response(308)
-        self.send_header("Location", location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
         return self.rfile.read(length) if length else b""
@@ -263,11 +252,13 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path != API_PREFIX and not parsed.path.startswith(
             API_PREFIX + "/"
         ):
-            # One release of grace for pre-versioning clients.
-            target = API_PREFIX + parsed.path
-            if parsed.query:
-                target += "?" + parsed.query
-            self._send_redirect(target)
+            # Read the body first, so a kept-alive connection stays in
+            # step with the next request.
+            self._read_body()
+            self._send_error_json(
+                SessionNotFoundError(f"no route {method} {parsed.path}"),
+                None,
+            )
             return
         path = parsed.path[len(API_PREFIX):]
         session_id = self._session_of(path)

@@ -14,14 +14,12 @@ stream.  It composes the serving pieces:
   :meth:`~repro.serving.store.CheckpointStore.import_state`);
 * :class:`~repro.serving.metrics.ServingMetrics` counts everything.
 
-Flushing is a three-step cycle around plain data, all on the dispatch
-thread and under the session's lock: the manager *prepares* a
-:class:`~repro.serving.pool.FlushRequest` (warmup bookkeeping, model
-checkout), :func:`~repro.serving.pool.execute_requests` *executes* it
-in-process, and the manager *commits* the
-:class:`~repro.serving.pool.FlushResult` back (store the updated
-model, publish per-slice results, record failures).  A failing flush
-poisons only its own session.
+A flush is one call under the session's lock, on the dispatch
+thread: the manager absorbs warmup slices, checks the live model out
+of the store, hands it and the stacked slices to
+:func:`~repro.serving.pool.execute_requests`, and commits what comes
+back (store the updated model, publish per-slice results, fold in the
+quality aggregates).  A failing flush poisons only its own session.
 
 Session lifecycle
 -----------------
@@ -54,9 +52,8 @@ from __future__ import annotations
 import json
 import tempfile
 import threading
+import time
 from collections import deque
-from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +75,6 @@ from repro.serving.observability import (
     TraceBuffer,
 )
 from repro.serving import pool
-from repro.serving.pool import FlushRequest, FlushResult
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
 from repro.serving.store import CheckpointStore, checkpoint_meta_path
 from repro.tensor import kernels
@@ -147,24 +143,6 @@ class _Session:
         self.results: deque[tuple[int, np.ndarray]] = deque(
             maxlen=keep_results
         )
-
-
-@dataclass
-class _Prepared:
-    """One session's flush between prepare and commit."""
-
-    session: _Session
-    items: list[PendingSlice]
-    request: FlushRequest | None = None
-    #: Whether prepare checked the live model out of the store; commit
-    #: must check it back in.
-    checked_out: bool = False
-    #: Whether the request initializes the session from its warmup.
-    initializes: bool = False
-    #: Trace context per traced seq in this flush:
-    #: ``seq -> (trace_id, accepted_at, enqueued_at)``.  Empty unless
-    #: slices were sampled for tracing.
-    span_starts: dict[int, tuple[str, float, float]] | None = None
 
 
 class SessionManager:
@@ -664,7 +642,7 @@ class SessionManager:
             self._require_initialized(session, "forecast")
             sofia = self._store.checkout(session_id)
             try:
-                with self._backend_context(session):
+                with pool.backend_scope(session.kernel_backend):
                     forecast = sofia.forecast(horizon)
             finally:
                 self._store.checkin(session_id)
@@ -844,12 +822,6 @@ class SessionManager:
                 f"{operation} needs an initialized model"
             )
 
-    @staticmethod
-    def _backend_context(session: _Session):
-        if session.kernel_backend is None:
-            return nullcontext()
-        return kernels.use_backend(session.kernel_backend)
-
     def _persist_session_locked(self, session: _Session) -> None:
         """Write the durable checkpoint + bookkeeping sidecar.
 
@@ -883,64 +855,24 @@ class SessionManager:
 
         Never raises — a failing flush marks only its own session
         failed and the error surfaces on the next API call against it.
-        The session lock is held for the whole prepare/execute/commit
-        cycle, so synchronous operations (impute, forecast, results)
-        observe each flush atomically.
+        The session lock is held for the whole flush, so synchronous
+        operations (impute, forecast, results) observe each flush
+        atomically.
+
+        A warming session absorbs the slices into its warmup buffer
+        until ``init_steps`` have arrived; the flush that completes the
+        window initializes the model from it and steps the rest.  A
+        failed session's slices are dropped (the failure already
+        surfaces on every API call), their spans completed with the
+        error instead of left dangling.
         """
         try:
             session = self._get_session(session_id)
         except SessionNotFoundError:
             return  # closed concurrently; nothing to apply to
-        with session.lock:
-            plan = self._prepare_locked(session, items)
-            if plan.request is None:
-                if session.failure:
-                    # Dropped batch of a failed session: complete any
-                    # traced slices' spans with the error instead of
-                    # leaving them dangling forever.
-                    self._record_dropped_spans(plan)
-                return
-            dispatched_at = self._scheduler.now()
-            # Looked up on the module at call time, so a wrapper
-            # installed on ``pool.execute_requests`` sees every flush.
-            (result,) = pool.execute_requests([plan.request])
-            returned_at = self._scheduler.now()
-            self.metrics.increment("dispatches")
-            self._commit_locked(
-                plan,
-                result,
-                dispatched_at=dispatched_at,
-                returned_at=returned_at,
-            )
-            if (
-                self._durable
-                and session.failure is None
-                and session.initialized
-            ):
-                # The session lock is still held, so the persisted
-                # checkpoint + sidecar are exactly the committed state
-                # — the failover tier never reads a torn snapshot.
-                self._persist_session_locked(session)
-
-    def _prepare_locked(
-        self, session: _Session, items: list[PendingSlice]
-    ) -> _Prepared:
-        """Turn one session's batch into a flush request (or buffer it).
-
-        Warmup bookkeeping happens here, in the manager: slices of a
-        warming session accumulate until ``init_steps`` have arrived,
-        at which point the request carries the whole initialization
-        window.  A warming session whose window is still short
-        produces no request (the slices were absorbed into the warmup
-        buffer); so does a failed session (its slices are dropped, as
-        before — the failure already surfaces on every API call).
-        """
-        plan = _Prepared(session=session, items=items)
-        if session.failure is not None:
-            return plan
-        config = session.config
-        remaining = items
-        span_starts = {
+        # Trace context per traced seq: ``seq -> (trace_id, accepted,
+        # enqueued)``.  Empty unless slices were sampled for tracing.
+        starts = {
             item.seq: (
                 item.trace_id,
                 (
@@ -953,201 +885,151 @@ class SessionManager:
             for item in items
             if item.trace_id is not None
         }
-        request = FlushRequest(
-            session_id=session.session_id,
-            config=config,
-            kernel_backend=session.kernel_backend,
-        )
-        if not session.initialized:
-            need = config.init_steps - len(session.warmup)
-            head, remaining = items[:need], items[need:]
-            session.warmup.extend(
-                (item.subtensor, item.mask) for item in head
-            )
-            # Traced warmup slices park their span context with the
-            # session: their spans complete at the initializing flush,
-            # which is when they are actually dispatched and executed.
-            for item in head:
-                if item.trace_id is not None:
-                    session.warmup_spans[item.seq] = span_starts.pop(
-                        item.seq
-                    )
-            if len(session.warmup) < config.init_steps:
-                # Buffered only; count the slices as flushed, exactly
-                # like the closure-based path did.
-                self.metrics.observe_flush(len(items), 0.0)
-                return plan
-            span_starts.update(session.warmup_spans)
-            # Startup slices get results too: their seqs are exactly
-            # 0..init_steps-1 in ingestion order.
-            request.warmup_seqs = list(range(config.init_steps))
-            request.warmup_ys = np.stack(
-                [y for y, _ in session.warmup]
-            )
-            request.warmup_masks = np.stack(
-                [m for _, m in session.warmup]
-            )
-            plan.initializes = True
-        if remaining:
-            request.step_seqs = [item.seq for item in remaining]
-            request.step_ys = np.stack(
-                [item.subtensor for item in remaining]
-            )
-            request.step_masks = np.stack(
-                [item.mask for item in remaining]
-            )
-        if session.initialized:
-            request.model = self._store.checkout(session.session_id)
-            plan.checked_out = True
-        if span_starts:
-            plan.span_starts = span_starts
-            # The trace context rides inside the request and is echoed
-            # back on the result.
-            request.trace_ids = {
-                seq: start[0] for seq, start in span_starts.items()
-            }
-        plan.request = request
-        return plan
-
-    def _record_dropped_spans(self, plan: _Prepared) -> None:
-        """Error-complete the spans of a failed session's dropped batch."""
-        now = self._scheduler.now()
-        for item in plan.items:
-            if item.trace_id is None:
-                continue
-            accepted = (
-                item.accepted_at
-                if item.accepted_at is not None
-                else item.arrived_at
-            )
-            self.tracer.record(
-                SliceSpan(
-                    trace_id=item.trace_id,
-                    session_id=plan.session.session_id,
-                    seq=item.seq,
-                    accepted=accepted,
-                    enqueued=item.arrived_at,
-                    dispatched=now,
-                    executed=now,
-                    committed=now,
-                    error=f"dropped: {plan.session.failure}",
-                )
-            )
-
-    def _commit_locked(
-        self,
-        plan: _Prepared,
-        result: FlushResult,
-        *,
-        dispatched_at: float,
-        returned_at: float,
-    ) -> None:
-        """Fold one flush's result back into its session."""
-        session = plan.session
-        try:
-            if result.error is not None:
-                session.failure = result.error
-                self.metrics.increment("flush_failures")
-                # The flush may have mutated the live model part way:
-                # never let it reach a checkpoint.
-                self._store.discard(session.session_id)
+        with session.lock:
+            if session.failure is not None:
+                now = self._scheduler.now()
                 self._record_spans_locked(
-                    plan,
-                    result,
-                    dispatched_at=dispatched_at,
-                    returned_at=returned_at,
-                    committed_at=self._scheduler.now(),
-                    error=session.failure,
+                    session,
+                    starts,
+                    now,
+                    now,
+                    now,
+                    execute_seconds=0.0,
+                    error=f"dropped: {session.failure}",
                 )
                 return
-            if result.model is not None and not plan.checked_out:
-                # Freshly initialized by this flush.
-                self._store.put(session.session_id, result.model)
-            if plan.initializes:
-                session.warmup = []
-                session.warmup_spans = {}
-                session.initialized = True
-            for seq, completed in result.results:
-                session.results.append((seq, completed))
-            session.consumed += result.consumed
-            applied = [
-                seqs[-1]
-                for seqs in (
-                    plan.request.warmup_seqs,
-                    plan.request.step_seqs,
+            config = session.config
+            seqs = [item.seq for item in items]
+            slices = [(item.subtensor, item.mask) for item in items]
+            initializes = not session.initialized
+            if initializes:
+                need = config.init_steps - len(session.warmup)
+                session.warmup.extend(slices[:need])
+                # Traced warmup slices park their span context with the
+                # session: their spans complete at the initializing
+                # flush, which is when they are actually executed.
+                for seq in seqs[:need]:
+                    if seq in starts:
+                        session.warmup_spans[seq] = starts.pop(seq)
+                if len(session.warmup) < config.init_steps:
+                    # Buffered only; the slices count as flushed.
+                    self.metrics.observe_flush(len(items), 0.0)
+                    return
+                starts.update(session.warmup_spans)
+                # Startup slices get results too: their seqs are
+                # exactly 0..init_steps-1 in ingestion order.
+                seqs = list(range(config.init_steps)) + seqs[need:]
+                slices = session.warmup + slices[need:]
+            ys = np.stack([y for y, _ in slices])
+            masks = np.stack([m for _, m in slices])
+            model = None if initializes else self._store.checkout(session_id)
+            try:
+                dispatched_at = self._scheduler.now()
+                started = time.perf_counter()
+                try:
+                    # Looked up on the module at call time, so a wrapper
+                    # installed on ``pool.execute_requests`` sees every
+                    # flush.
+                    model, results, quality, error_scale = (
+                        pool.execute_requests(
+                            config,
+                            session.kernel_backend,
+                            model,
+                            seqs,
+                            ys,
+                            masks,
+                        )
+                    )
+                except Exception as exc:  # noqa: BLE001 - flush boundary
+                    session.failure = f"{type(exc).__name__}: {exc}"
+                seconds = time.perf_counter() - started
+                returned_at = self._scheduler.now()
+                self.metrics.increment("dispatches")
+                if session.failure is not None:
+                    self.metrics.increment("flush_failures")
+                    # The flush may have mutated the live model part
+                    # way: never let it reach a checkpoint.
+                    self._store.discard(session_id)
+                    self._record_spans_locked(
+                        session,
+                        starts,
+                        dispatched_at,
+                        returned_at,
+                        self._scheduler.now(),
+                        execute_seconds=seconds,
+                        error=session.failure,
+                    )
+                    return
+                if initializes:
+                    self._store.put(session_id, model)
+                    session.warmup = []
+                    session.warmup_spans = {}
+                    session.initialized = True
+                session.results.extend(results)
+                session.consumed += len(results)
+                session.applied_seq = max(session.applied_seq, seqs[-1] + 1)
+                self.metrics.observe_flush(len(items), seconds)
+                # End-to-end ingest latency: scheduler-clock arrival
+                # stamp to commit, per slice — the number an ingestion
+                # SLO is written against (and what GET /metrics reports
+                # as ingest_latency p50/p95/p99).
+                committed_at = self._scheduler.now()
+                self.metrics.observe_latencies(
+                    "ingest", [committed_at - item.arrived_at for item in items]
                 )
-                if seqs
-            ]
-            if applied:
-                session.applied_seq = max(
-                    session.applied_seq, max(applied) + 1
+                # Quality telemetry: the flush's per-slice aggregates
+                # and post-batch error scale land in the session's
+                # sliding window (scalars only, no arrays).
+                session.quality.observe_batch(
+                    quality, error_scale, committed_at, applied=len(results)
                 )
-            self.metrics.observe_flush(
-                len(plan.items), result.seconds
-            )
-            # End-to-end ingest latency: scheduler-clock arrival stamp
-            # to commit, per slice — the number an ingestion SLO is
-            # written against (and what GET /metrics reports as
-            # ingest_latency p50/p95/p99).
-            committed_at = self._scheduler.now()
-            self.metrics.observe_latencies(
-                "ingest",
-                [committed_at - item.arrived_at for item in plan.items],
-            )
-            # Quality telemetry: the flush's per-slice aggregates and
-            # post-batch error scale land in the session's sliding
-            # window (scalars only, no arrays).
-            session.quality.observe_batch(
-                result.quality,
-                result.error_scale,
-                committed_at,
-                applied=result.consumed,
-            )
-            self._record_spans_locked(
-                plan,
-                result,
-                dispatched_at=dispatched_at,
-                returned_at=returned_at,
-                committed_at=committed_at,
-            )
-        finally:
-            if plan.checked_out:
-                self._store.checkin(session.session_id)
+                self._record_spans_locked(
+                    session,
+                    starts,
+                    dispatched_at,
+                    returned_at,
+                    committed_at,
+                    execute_seconds=seconds,
+                )
+            finally:
+                if not initializes:
+                    self._store.checkin(session_id)
+            if self._durable:
+                # The session lock is still held, so the persisted
+                # checkpoint + sidecar are exactly the committed state
+                # — the failover tier never reads a torn snapshot.
+                self._persist_session_locked(session)
 
     def _record_spans_locked(
         self,
-        plan: _Prepared,
-        result: FlushResult,
-        *,
+        session: _Session,
+        starts: dict[int, tuple[str, float, float]],
         dispatched_at: float,
         returned_at: float,
         committed_at: float,
+        *,
+        execute_seconds: float,
         error: str | None = None,
     ) -> None:
-        """Complete this flush's traced slices' spans into the ring.
+        """Complete one flush's traced slices' spans into the ring.
 
         All stamps come from the scheduler's monotonic clock, so every
-        chain is monotone by construction.  The flush's own
-        ``seconds`` measurement becomes ``execute_seconds`` (the
-        kernel share of ``dispatched -> executed``).  Trace ids are
-        taken from the result's echoed map.
+        chain is monotone by construction.  ``execute_seconds`` is the
+        flush's own measurement around ``execute_requests`` (the
+        kernel share of ``dispatched -> executed``).
         """
-        if not plan.span_starts:
-            return
-        for seq, (trace_id, accepted, enqueued) in (
-            plan.span_starts.items()
-        ):
+        for seq, (trace_id, accepted, enqueued) in starts.items():
             self.tracer.record(
                 SliceSpan(
-                    trace_id=result.trace_ids.get(seq, trace_id),
-                    session_id=plan.session.session_id,
+                    trace_id=trace_id,
+                    session_id=session.session_id,
                     seq=seq,
                     accepted=accepted,
                     enqueued=max(enqueued, accepted),
                     dispatched=max(dispatched_at, enqueued, accepted),
                     executed=max(returned_at, dispatched_at),
                     committed=max(committed_at, returned_at),
-                    execute_seconds=result.seconds,
+                    execute_seconds=execute_seconds,
                     error=error,
                 )
             )

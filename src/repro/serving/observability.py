@@ -7,10 +7,10 @@ path:
 * **Slice-lifecycle tracing.**  A trace id is minted (or accepted via
   the ``X-Repro-Trace-Id`` header) when a slice is ingested and rides
   the slice through every stage: gateway accept, scheduler enqueue,
-  flush dispatch (inside the session's ``FlushRequest``), execution,
-  and manager commit.  Completed :class:`SliceSpan` records land in a
-  bounded ring (:class:`TraceBuffer`) queryable at ``GET /v1/traces``,
-  so a p99 slice can be decomposed into queue wait vs kernel time.
+  flush dispatch, execution, and manager commit.  Completed
+  :class:`SliceSpan` records land in a bounded ring
+  (:class:`TraceBuffer`) queryable at ``GET /v1/traces``, so a p99
+  slice can be decomposed into queue wait vs kernel time.
   Sampling is off by default: with ``sample_rate == 0`` and no
   explicit trace id, :meth:`TraceBuffer.sample` is a single float
   compare and no per-span state is allocated anywhere.
@@ -230,7 +230,7 @@ class TraceBuffer:
 #: sum of squared one-step-ahead forecast residuals over observed
 #: entries, the matching sum of squared observed values (the NRE
 #: denominator), and how many entries the robust step flagged as
-#: outliers.  A plain tuple of scalars, carried on ``FlushResult``.
+#: outliers.  A plain tuple of scalars, returned by the flush.
 SliceQuality = tuple  # (seq, observed, residual_ss, signal_ss, outliers)
 
 

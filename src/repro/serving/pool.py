@@ -1,26 +1,21 @@
-"""Flush execution: one session's batch in, its result out.
+"""Flush execution: one session's batch in, its outputs back.
 
-A :class:`FlushRequest` describes everything one session's flush needs
-— the live :class:`~repro.core.Sofia` model (or, for a session still
-warming up, the completed initialization window) plus the buffered
-dynamic-phase slices — and a :class:`FlushResult` carries everything
-the manager must commit back.  :func:`execute_requests` runs requests
-in-process on the calling scheduler dispatch thread: the session
-manager prepares a request under the session's lock, hands it over,
-and commits the result under the same lock.
+:func:`execute_requests` runs one session's flush in-process on the
+calling scheduler dispatch thread, under the session's lock the
+manager already holds: the live :class:`~repro.core.Sofia` model (or
+``None`` for a session whose initialization window just completed)
+and the stacked slices go in; the model, each slice's completed
+reconstruction and the per-slice quality aggregates come back.
 
-Execution never raises.  A failing batch becomes an ``error`` result,
-and the manager marks only that session failed.  So does a batch that
-leaves non-finite factors, error scale or Holt-Winters state: the
-session fails instead of committing state that would turn every later
-result NaN.
+A failing batch raises, and so does a batch that leaves non-finite
+factors, error scale or Holt-Winters state — which would turn every
+later result NaN.  The manager catches either and marks only that
+session failed.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,73 +24,11 @@ from repro.core.sofia import Sofia
 from repro.tensor import kernels
 from repro.tensor.masked import keep_mask, masked_fill
 
-__all__ = [
-    "FlushRequest",
-    "FlushResult",
-    "execute_request",
-    "execute_requests",
-]
+__all__ = ["backend_scope", "execute_requests"]
 
 
-@dataclass
-class FlushRequest:
-    """One session's flush, as plain data.
-
-    ``model`` carries the session's live model — or ``None``, when this
-    flush *initializes* the session from its completed warmup window
-    (``warmup_ys`` set).  ``step_seqs``/``step_ys``/``step_masks``
-    describe the dynamic-phase slices to apply after any
-    initialization, oldest first.
-
-    ``trace_ids`` maps sequence numbers to lifecycle trace ids for the
-    slices that are being traced (usually none); it is echoed back on
-    the result.
-    """
-
-    session_id: str
-    config: SofiaConfig
-    kernel_backend: str | None = None
-    model: Sofia | None = None
-    warmup_seqs: list[int] = field(default_factory=list)
-    warmup_ys: np.ndarray | None = None
-    warmup_masks: np.ndarray | None = None
-    step_seqs: list[int] = field(default_factory=list)
-    step_ys: np.ndarray | None = None
-    step_masks: np.ndarray | None = None
-    trace_ids: dict[int, str] = field(default_factory=dict)
-
-
-@dataclass
-class FlushResult:
-    """What one executed flush hands back to the manager.
-
-    ``results`` pairs each consumed slice's sequence number with its
-    completed (imputed) reconstruction.  ``model`` is the updated (or
-    freshly initialized) model; ``error`` is the formatted exception
-    when execution failed (the other fields then describe nothing and
-    the manager marks the session failed).
-
-    ``quality`` carries one ``(seq, observed, residual_ss, signal_ss,
-    outliers)`` tuple per dynamic-phase slice — scalar aggregates of
-    arrays the step already produced (one-step-ahead forecast
-    residuals, outlier indicators), folded into the session's quality
-    window at commit.  ``error_scale`` is the post-batch mean of the
-    model's running error scale Sigma-hat.  ``trace_ids`` is the
-    request's map, echoed back.
-    """
-
-    session_id: str
-    results: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    consumed: int = 0
-    model: Sofia | None = None
-    error: str | None = None
-    seconds: float = 0.0
-    quality: list[tuple] = field(default_factory=list)
-    error_scale: float | None = None
-    trace_ids: dict[int, str] = field(default_factory=dict)
-
-
-def _backend_scope(name: str | None):
+def backend_scope(name: str | None):
+    """Run a block under kernel backend ``name`` (``None``: the active one)."""
     return nullcontext() if name is None else kernels.use_backend(name)
 
 
@@ -154,56 +87,44 @@ def _check_finite(sofia: Sofia) -> None:
             raise FloatingPointError(f"flush left non-finite {name}")
 
 
-def execute_request(request: FlushRequest) -> FlushResult:
-    """Run one flush; never raises (failures become ``error`` results)."""
-    started = time.perf_counter()
-    result = FlushResult(session_id=request.session_id)
-    try:
-        with _backend_scope(request.kernel_backend):
-            sofia = request.model
-            if request.warmup_ys is not None:
-                sofia = Sofia(request.config)
-                completed = sofia.initialize(
-                    list(request.warmup_ys), list(request.warmup_masks)
-                )
-                result.results.extend(
-                    zip(request.warmup_seqs, completed)
-                )
-                result.consumed += len(request.warmup_seqs)
-            if request.step_ys is not None and len(request.step_seqs):
-                steps = sofia.step_batch(
-                    request.step_ys, request.step_masks
-                )
-                result.results.extend(
-                    (seq, step.completed)
-                    for seq, step in zip(request.step_seqs, steps)
-                )
-                result.consumed += len(request.step_seqs)
-                result.quality = _quality_aggregates(
-                    request.step_seqs,
-                    steps,
-                    request.step_ys,
-                    request.step_masks,
-                )
-                result.error_scale = float(
-                    np.mean(np.asarray(sofia.state.sigma))
-                )
-            if sofia is not None:
-                _check_finite(sofia)
-        result.model = sofia
-    except Exception as exc:  # noqa: BLE001 - flush boundary
-        result = FlushResult(
-            session_id=request.session_id,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    # Echoed even on error results, so a failed flush still completes
-    # its slices' spans (with the error recorded) instead of leaving
-    # dangling traces.
-    result.trace_ids = dict(request.trace_ids)
-    result.seconds = time.perf_counter() - started
-    return result
+def execute_requests(
+    config: SofiaConfig,
+    kernel_backend: str | None,
+    model: Sofia | None,
+    seqs: list[int],
+    ys: np.ndarray,
+    masks: np.ndarray,
+) -> tuple[Sofia, list[tuple[int, np.ndarray]], list[tuple], float | None]:
+    """Apply one session's stacked slices; return what the manager commits.
 
+    ``seqs`` numbers the ``(B, …)`` stacks ``ys``/``masks``, oldest
+    first.  With ``model`` ``None`` the first ``config.init_steps``
+    slices initialize a fresh model and the rest are stepped; otherwise
+    every slice is a dynamic-phase step of ``model``, in place.
 
-def execute_requests(requests: list[FlushRequest]) -> list[FlushResult]:
-    """Execute requests back to back, each isolated from the others."""
-    return [execute_request(request) for request in requests]
+    Returns ``(model, results, quality, error_scale)``: ``results``
+    pairs each slice's seq with its completed (imputed) reconstruction;
+    ``quality`` holds one ``(seq, observed, residual_ss, signal_ss,
+    outliers)`` tuple per stepped slice; ``error_scale`` is the
+    post-batch mean of the running error scale Sigma-hat, ``None`` when
+    no slice was stepped.
+    """
+    results: list[tuple[int, np.ndarray]] = []
+    quality: list[tuple] = []
+    error_scale = None
+    with backend_scope(kernel_backend):
+        if model is None:
+            n = config.init_steps
+            model = Sofia(config)
+            completed = model.initialize(list(ys[:n]), list(masks[:n]))
+            results.extend(zip(seqs, completed))
+            seqs, ys, masks = seqs[n:], ys[n:], masks[n:]
+        if len(seqs):
+            steps = model.step_batch(ys, masks)
+            results.extend(
+                (seq, step.completed) for seq, step in zip(seqs, steps)
+            )
+            quality = _quality_aggregates(seqs, steps, ys, masks)
+            error_scale = float(np.mean(np.asarray(model.state.sigma)))
+        _check_finite(model)
+    return model, results, quality, error_scale

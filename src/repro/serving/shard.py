@@ -101,7 +101,6 @@ __all__ = [
     "ShardRouterServer",
     "aggregate_snapshots",
     "main",
-    "serve_router",
     "start_local_cluster",
 ]
 
@@ -456,16 +455,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
     ) -> None:
         self._send(status, text.encode("utf-8"), content_type)
 
-    def _send_redirect(self, location: str) -> None:
-        body = json.dumps({"location": location}).encode("utf-8")
-        self.server.observe_http(308)
-        self.send_response(308)
-        self.send_header("Location", location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
         return self.rfile.read(length) if length else b""
@@ -490,8 +479,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path, _, query = self.path.partition("?")
         if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
-            target = API_PREFIX + path + (f"?{query}" if query else "")
-            self._send_redirect(target)
+            self._read_body()
+            self._send_no_route(method, path)
             return
         path = path[len(API_PREFIX):]
         try:
@@ -590,12 +579,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
                         router.note_ingest(session_id, payload)
             self._send(status, payload, content_type)
             return
+        self._send_no_route(method, API_PREFIX + path)
+
+    def _send_no_route(self, method: str, path: str) -> None:
         self._send(
             404,
             _error_body(
-                "SessionNotFoundError",
-                f"no route {method} {API_PREFIX}{path}",
-                None,
+                "SessionNotFoundError", f"no route {method} {path}", None
             ),
         )
 
@@ -1589,39 +1579,6 @@ class ShardRouterServer(ThreadingHTTPServer):
         return target
 
 
-def serve_router(
-    shards,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    replicas: int = 64,
-    weights=None,
-    proxy_timeout: float = 30.0,
-    probe_interval: float | None = None,
-    probe_timeout: float = 1.0,
-    probe_failures: int = 3,
-    retries: int = 2,
-    checkpoint_dir: str | Path | None = None,
-    migrate_concurrency: int = 4,
-    verbose: bool = False,
-) -> ShardRouterServer:
-    """Bind a router (``port=0`` picks a free port); caller runs it."""
-    return ShardRouterServer(
-        (host, port),
-        shards,
-        replicas=replicas,
-        weights=weights,
-        proxy_timeout=proxy_timeout,
-        probe_interval=probe_interval,
-        probe_timeout=probe_timeout,
-        probe_failures=probe_failures,
-        retries=retries,
-        checkpoint_dir=checkpoint_dir,
-        migrate_concurrency=migrate_concurrency,
-        verbose=verbose,
-    )
-
-
 @dataclass
 class LocalCluster:
     """A self-hosted router + N backend gateways, one ``close()``."""
@@ -1692,8 +1649,10 @@ def start_local_cluster(
     n_shards: int,
     *,
     host: str = "127.0.0.1",
+    port: int = 0,
     replicas: int = 64,
     shard_weights=None,
+    proxy_timeout: float = 30.0,
     probe_interval: float | None = None,
     probe_timeout: float = 1.0,
     probe_failures: int = 3,
@@ -1715,7 +1674,8 @@ def start_local_cluster(
     post-commit checkpointing on, and points the router's failover at
     the root — the full self-healing loop in one process when a
     ``probe_interval`` is set.  ``shard_weights`` is one capacity
-    weight per shard index.
+    weight per shard index.  The router binds ``(host, port)``
+    (``port=0`` picks a free port); the backends take free ports.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
@@ -1765,12 +1725,12 @@ def start_local_cluster(
                 url: float(weight)
                 for url, weight in zip(urls, shard_weights)
             }
-        router = serve_router(
+        router = ShardRouterServer(
+            (host, port),
             urls,
-            host,
-            0,
             replicas=replicas,
             weights=weights,
+            proxy_timeout=proxy_timeout,
             probe_interval=probe_interval,
             probe_timeout=probe_timeout,
             probe_failures=probe_failures,
@@ -1927,8 +1887,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"--shard-weight needs KEY=WEIGHT, got {entry!r}"
             )
 
+    router_kwargs = dict(
+        replicas=args.replicas,
+        proxy_timeout=args.proxy_timeout,
+        probe_interval=args.probe_interval,
+        probe_timeout=args.probe_timeout,
+        probe_failures=args.probe_failures,
+        retries=args.retries,
+        verbose=args.verbose,
+    )
     cluster: LocalCluster | None = None
-    checkpoint_dir = args.checkpoint_dir
     if args.local_shards is not None:
         shard_weights = None
         if raw_weights:
@@ -1953,54 +1921,43 @@ def main(argv: list[str] | None = None) -> int:
         cluster = start_local_cluster(
             args.local_shards,
             host=args.host,
-            replicas=args.replicas,
+            port=args.port,
             shard_weights=shard_weights,
             durable=args.durable,
             checkpoint_root=args.checkpoint_dir,
-            verbose=args.verbose,
             max_batch=args.max_batch,
             max_latency_s=args.max_latency_ms / 1000.0,
             workers=args.workers,
+            **router_kwargs,
         )
-        shards = cluster.shard_urls
-        weights = None
-        if shard_weights is not None:
-            weights = dict(zip(shards, shard_weights))
-        checkpoint_dir = cluster.checkpoint_root
+        router = cluster.router
     else:
-        shards = args.shard
-        weights = (
-            {key: weight for key, weight in raw_weights}
-            if raw_weights
-            else None
+        router = ShardRouterServer(
+            (args.host, args.port),
+            args.shard,
+            weights=dict(raw_weights) if raw_weights else None,
+            checkpoint_dir=args.checkpoint_dir,
+            **router_kwargs,
         )
-    router = serve_router(
-        shards,
-        args.host,
-        args.port,
-        replicas=args.replicas,
-        weights=weights,
-        proxy_timeout=args.proxy_timeout,
-        probe_interval=args.probe_interval,
-        probe_timeout=args.probe_timeout,
-        probe_failures=args.probe_failures,
-        retries=args.retries,
-        checkpoint_dir=checkpoint_dir,
-        verbose=args.verbose,
-    )
     print(
         f"repro-serve-router listening on http://{args.host}:"
         f"{router.port}{API_PREFIX} fronting {len(router.ring.shards)} "
         f"shard(s): {', '.join(router.ring.shards)}"
     )
     try:
-        router.serve_forever()
+        if cluster is None:
+            router.serve_forever()
+        else:
+            # The cluster serves its router on its own thread, started
+            # last; block until that thread ends.
+            cluster.threads[-1].join()
     except KeyboardInterrupt:
         pass
     finally:
-        router.shutdown()
-        router.server_close()
-        if cluster is not None:
+        if cluster is None:
+            router.shutdown()
+            router.server_close()
+        else:
             cluster.close()
     return 0
 

@@ -3,9 +3,10 @@
 The paper's Ω mask (Eq. 3) marks the cells a step may use; a missing
 cell may hold anything, and sensor gaps often arrive as NaN.  At B > 1
 on the dense path, in float32 and float64, a batch whose missing cells
-hold NaN or ±inf must produce the same step fields, factors, error
-scale and Holt-Winters state as the same batch with zeros there, bit
-for bit — and so must a served flush's quality tuples.
+hold NaN, ±inf or a finite value whose square overflows must produce
+the same step fields, factors, error scale and Holt-Winters state as
+the same batch with zeros there, bit for bit, and raise no
+floating-point warning — and so must a served flush's quality tuples.
 """
 
 import copy
@@ -16,7 +17,7 @@ import pytest
 from repro.core import Sofia, SofiaConfig
 from repro.core.model import SofiaModelState
 from repro.forecast.vector_hw import VectorHoltWinters
-from repro.serving.pool import FlushRequest, execute_request
+from repro.serving.pool import execute_requests
 
 DIMS = (8, 7)
 STEP_FIELDS = (
@@ -26,12 +27,21 @@ STEP_FIELDS = (
     "temporal_forecast",
     "temporal_vector",
 )
+#: A finite filler per dtype whose square overflows that dtype.
+LARGE = {"float64": 1e300, "float32": 1e30}
 FILLERS = {
-    "nan": lambda rng, n: np.full(n, np.nan),
-    "inf": lambda rng, n: np.full(n, np.inf),
-    "-inf": lambda rng, n: np.full(n, -np.inf),
-    "mixed": lambda rng, n: rng.choice([np.nan, -np.nan, np.inf, -np.inf], n),
+    "nan": lambda rng, n, dtype: np.full(n, np.nan),
+    "inf": lambda rng, n, dtype: np.full(n, np.inf),
+    "-inf": lambda rng, n, dtype: np.full(n, -np.inf),
+    "mixed": lambda rng, n, dtype: rng.choice(
+        [np.nan, -np.nan, np.inf, -np.inf], n
+    ),
+    "large": lambda rng, n, dtype: np.full(n, LARGE[dtype]),
 }
+
+# An overflow, invalid value or division by zero anywhere in a step is
+# a failure here, not a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _config(dtype):
@@ -69,7 +79,7 @@ def _batch(rng, batch, dtype, filler):
     ms = rng.random(ys.shape) < 0.7
     zeros = np.where(ms, ys, 0.0).astype(dtype)
     filled = zeros.copy()
-    filled[~ms] = FILLERS[filler](rng, int((~ms).sum()))
+    filled[~ms] = FILLERS[filler](rng, int((~ms).sum()), dtype)
     return zeros, filled, ms
 
 
@@ -124,25 +134,18 @@ def test_flush_quality_ignores_missing_cells(dtype, batch, filler):
     )
 
     def flush(ys):
-        return execute_request(
-            FlushRequest(
-                session_id="s",
-                config=config,
-                model=copy.deepcopy(model),
-                step_seqs=list(range(batch)),
-                step_ys=ys,
-                step_masks=ms,
-            )
+        return execute_requests(
+            config, None, copy.deepcopy(model), list(range(batch)), ys, ms
         )
 
-    want, got = flush(zeros), flush(filled)
-    assert got.error is None and want.error is None
-    assert got.quality == want.quality
-    assert all(np.isfinite(q[2]) and np.isfinite(q[3]) for q in got.quality)
-    assert got.error_scale == want.error_scale
+    (want_model, want_results, want_quality, want_scale) = flush(zeros)
+    (got_model, got_results, got_quality, got_scale) = flush(filled)
+    assert got_quality == want_quality
+    assert all(np.isfinite(q[2]) and np.isfinite(q[3]) for q in got_quality)
+    assert got_scale == want_scale
     for (seq_got, done_got), (seq_want, done_want) in zip(
-        got.results, want.results
+        got_results, want_results
     ):
         assert seq_got == seq_want
         _assert_same_bits(done_got, done_want)
-    _assert_same_state(got.model.state, want.model.state)
+    _assert_same_state(got_model.state, want_model.state)

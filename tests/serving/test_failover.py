@@ -27,8 +27,8 @@ from repro.serving import HTTPServingClient, SessionManager
 from repro.serving.gateway import serve
 from repro.serving.shard import (
     HashRing,
+    ShardRouterServer,
     aggregate_snapshots,
-    serve_router,
     start_local_cluster,
 )
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
@@ -52,7 +52,7 @@ def _gateway(**manager_kwargs):
 
 @contextmanager
 def _router(urls, **kwargs):
-    router = serve_router(urls, **kwargs)
+    router = ShardRouterServer(("127.0.0.1", 0), urls, **kwargs)
     thread = threading.Thread(target=router.serve_forever, daemon=True)
     thread.start()
     try:

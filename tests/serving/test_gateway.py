@@ -114,37 +114,29 @@ class TestRoutes:
 
 class TestVersioning:
     def _raw(self, client, path):
-        """(status, headers, body) of an unredirected raw GET."""
+        """(status, body) of a raw GET."""
         url = client._base.removesuffix("/v1") + path
-
-        class NoRedirect(urllib.request.HTTPRedirectHandler):
-            def redirect_request(self, *args, **kwargs):
-                return None
-
-        opener = urllib.request.build_opener(NoRedirect)
         try:
-            with opener.open(url, timeout=10) as response:
-                return response.status, response.headers, response.read()
+            with urllib.request.urlopen(url, timeout=10) as response:
+                return response.status, response.read()
         except urllib.error.HTTPError as exc:
-            return exc.code, exc.headers, exc.read()
+            return exc.code, exc.read()
 
-    def test_unversioned_path_redirects_308(self, live_gateway):
+    @pytest.mark.parametrize(
+        "path", ["/healthz", "/sessions/x/forecast?horizon=3", "/v1x"]
+    )
+    def test_unversioned_path_is_404_envelope(self, live_gateway, path):
         client, _ = live_gateway
-        status, headers, _ = self._raw(client, "/healthz")
-        assert status == 308
-        assert headers["Location"] == "/v1/healthz"
-
-    def test_redirect_preserves_query(self, live_gateway):
-        client, _ = live_gateway
-        status, headers, _ = self._raw(
-            client, "/sessions/x/forecast?horizon=3"
-        )
-        assert status == 308
-        assert headers["Location"] == "/v1/sessions/x/forecast?horizon=3"
+        status, body = self._raw(client, path)
+        assert status == 404
+        error = json.loads(body)["error"]
+        assert error["type"] == "SessionNotFoundError"
+        assert f"no route GET {path.partition('?')[0]}" in error["message"]
+        assert error["session"] is None
 
     def test_v1_path_serves_directly(self, live_gateway):
         client, _ = live_gateway
-        status, _, body = self._raw(client, "/v1/healthz")
+        status, body = self._raw(client, "/v1/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "ok"
 

@@ -28,7 +28,6 @@ from repro.serving import (
 )
 from repro.serving import pool
 from repro.serving.gateway import serve
-from repro.serving.pool import FlushResult
 from repro.serving.shard import aggregate_snapshots
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
 from tools.check_prom import check_exposition
@@ -378,15 +377,8 @@ class TestInProcessTracing:
         _feed_session(client, "doomed", n_steps=INIT_STEPS)
         traced_manager.drain("doomed")
 
-        def failing(requests):
-            return [
-                FlushResult(
-                    session_id=r.session_id,
-                    error="injected crash",
-                    trace_ids=dict(r.trace_ids),
-                )
-                for r in requests
-            ]
+        def failing(*args):
+            raise RuntimeError("injected crash")
 
         monkeypatch.setattr(pool, "execute_requests", failing)
         slices, masks = make_session_stream(seed=13, n_steps=4)

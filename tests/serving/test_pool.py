@@ -20,10 +20,10 @@ import pytest
 
 from repro.core import Sofia
 from repro.core.serialization import load_sofia
-from repro.exceptions import SessionError
+from repro.exceptions import ConfigError, SessionError, ShapeError
 from repro.serving import SessionManager, pool
 from repro.tensor import kernels
-from repro.serving.pool import FlushRequest, FlushResult, execute_requests
+from repro.serving.pool import execute_requests
 from repro.serving.scheduler import MicroBatchScheduler, PendingSlice
 
 from tests.serving.conftest import make_config, make_session_stream
@@ -44,8 +44,11 @@ class TestFlushFailureIsolation:
                 sid: make_session_stream(seed=60 + i, n_steps=14)
                 for i, sid in enumerate(sids)
             }
+            configs = {sid: make_config() for sid in sids}
             for sid in sids:
-                manager.create_session(sid, make_config())
+                manager.create_session(sid, configs[sid])
+            # A flush names its session by the config object it holds.
+            owner = {id(config): sid for sid, config in configs.items()}
             # Warm both sessions up cleanly (12 slices: warmup + 4).
             for t in range(12):
                 for sid, (slices, masks) in streams.items():
@@ -59,18 +62,16 @@ class TestFlushFailureIsolation:
             # the sessions concurrently, one flush per session.
             real = pool.execute_requests
             both_in_flight = threading.Barrier(2, timeout=10.0)
-            flushed: list[list[str]] = []
+            flushed: list[str] = []
 
-            def poisoning(requests):
-                flushed.append([r.session_id for r in requests])
+            def poisoning(config, *args):
+                sid = owner[id(config)]
+                flushed.append(sid)
                 both_in_flight.wait()
-                results = real(requests)
-                return [
-                    FlushResult(session_id=r.session_id, error="injected crash")
-                    if r.session_id == "bad"
-                    else r
-                    for r in results
-                ]
+                outputs = real(config, *args)
+                if sid == "bad":
+                    raise RuntimeError("injected crash")
+                return outputs
 
             monkeypatch.setattr(pool, "execute_requests", poisoning)
             for t in range(12, 14):
@@ -79,7 +80,7 @@ class TestFlushFailureIsolation:
             manager.drain()
             monkeypatch.undo()
 
-            assert sorted(flushed) == [["bad"], ["ok"]]
+            assert sorted(flushed) == ["bad", "ok"]
             assert not both_in_flight.broken
             with pytest.raises(SessionError, match="injected crash"):
                 manager.results("bad")
@@ -176,38 +177,36 @@ class TestMonotonicClock:
 
 
 class TestWorkerExecution:
-    def test_execute_requests_isolates_failures(self):
-        good = FlushRequest(
-            session_id="ok",
-            config=make_config(),
-            model=None,
+    def test_execute_requests_raises_on_failure(self, checkpoint):
+        slices, masks = make_session_stream(seed=30, n_steps=1)
+        model = load_sofia(checkpoint)
+        got, results, _, _ = execute_requests(
+            model.config, None, model, [0], np.stack(slices), np.stack(masks)
         )
-        results = execute_requests([good])
-        assert results[0].session_id == "ok"
-        # No model, no warmup: stepping is impossible and
-        # must come back as an error result, never a raise.
-        bad = FlushRequest(
-            session_id="broken",
-            config=make_config(),
-            step_seqs=[0],
-            step_ys=np.zeros((1, 5, 4)),
-            step_masks=np.ones((1, 5, 4), dtype=bool),
-        )
-        ok, err = execute_requests([good, bad])
-        assert ok.error is None
-        assert err.error is not None
-        assert err.session_id == "broken"
+        assert got is model
+        assert len(results) == 1
+        # No model and one slice: too short to initialize from, so the
+        # flush raises for the manager to fail the session with.
+        with pytest.raises(ShapeError, match="initialization needs"):
+            execute_requests(
+                make_config(),
+                None,
+                None,
+                [0],
+                np.zeros((1, 5, 4)),
+                np.ones((1, 5, 4), dtype=bool),
+            )
 
 
-def _step_request(model, slices, masks, seqs, **kwargs) -> FlushRequest:
-    return FlushRequest(
-        session_id="s",
-        config=model.config,
-        model=model,
-        step_seqs=list(seqs),
-        step_ys=np.stack(slices),
-        step_masks=np.stack(masks),
-        **kwargs,
+def _step(model, slices, masks, seqs, kernel_backend=None):
+    """One step flush of ``model`` through ``execute_requests``."""
+    return execute_requests(
+        model.config,
+        kernel_backend,
+        model,
+        list(seqs),
+        np.stack(slices),
+        np.stack(masks),
     )
 
 
@@ -218,18 +217,13 @@ class TestExecuteRequest:
         want = offline.step_batch(np.stack(slices), np.stack(masks))
 
         model = load_sofia(checkpoint)
-        (result,) = execute_requests(
-            [_step_request(model, slices, masks, range(20, 24))]
-        )
-        assert result.error is None
-        assert result.model is model
-        assert result.consumed == 4
-        assert [seq for seq, _ in result.results] == [20, 21, 22, 23]
-        for (_, got), step in zip(result.results, want):
-            np.testing.assert_array_equal(got, step.completed)
-        np.testing.assert_array_equal(
-            result.model.forecast(3), offline.forecast(3)
-        )
+        got, results, _, _ = _step(model, slices, masks, range(20, 24))
+        assert got is model
+        assert len(results) == 4
+        assert [seq for seq, _ in results] == [20, 21, 22, 23]
+        for (_, completed), step in zip(results, want):
+            np.testing.assert_array_equal(completed, step.completed)
+        np.testing.assert_array_equal(got.forecast(3), offline.forecast(3))
 
     def test_warmup_request_initializes_then_steps(self):
         config = make_config()
@@ -244,41 +238,36 @@ class TestExecuteRequest:
             )
         ]
 
-        request = FlushRequest(
-            session_id="s",
-            config=config,
-            warmup_seqs=list(range(n_init)),
-            warmup_ys=np.stack(slices[:n_init]),
-            warmup_masks=np.stack(masks[:n_init]),
-            step_seqs=[n_init, n_init + 1],
-            step_ys=np.stack(slices[n_init:]),
-            step_masks=np.stack(masks[n_init:]),
+        model, results, quality, _ = execute_requests(
+            config,
+            None,
+            None,
+            list(range(n_init + 2)),
+            np.stack(slices),
+            np.stack(masks),
         )
-        (result,) = execute_requests([request])
-        assert result.error is None
-        assert result.consumed == n_init + 2
-        assert [seq for seq, _ in result.results] == list(range(n_init + 2))
-        for (_, got), expected in zip(result.results, want):
+        assert isinstance(model, Sofia)
+        assert len(results) == n_init + 2
+        assert [seq for seq, _ in results] == list(range(n_init + 2))
+        for (_, got), expected in zip(results, want):
             np.testing.assert_array_equal(got, expected)
         # Only dynamic-phase slices carry quality aggregates.
-        assert [q[0] for q in result.quality] == [n_init, n_init + 1]
+        assert [q[0] for q in quality] == [n_init, n_init + 1]
 
     def test_quality_aggregates_one_tuple_per_step(self, checkpoint):
         slices, masks = make_session_stream(seed=33, n_steps=3)
         model = load_sofia(checkpoint)
-        (result,) = execute_requests(
-            [_step_request(model, slices, masks, (5, 6, 7))]
-        )
-        assert [q[0] for q in result.quality] == [5, 6, 7]
+        _, _, quality, error_scale = _step(model, slices, masks, (5, 6, 7))
+        assert [q[0] for q in quality] == [5, 6, 7]
         for (_, observed, residual_ss, signal_ss, outliers), mask in zip(
-            result.quality, masks
+            quality, masks
         ):
             assert observed == int(mask.sum())
             assert residual_ss >= 0.0
             assert signal_ss > 0.0
             assert 0 <= outliers <= mask.size
-        assert np.isfinite(result.error_scale)
-        assert result.error_scale > 0.0
+        assert np.isfinite(error_scale)
+        assert error_scale > 0.0
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_quality_aggregates_match_per_slice_loop(self, dtype):
@@ -295,10 +284,9 @@ class TestExecuteRequest:
         steps_y[~steps_m] = np.nan  # missing cells may hold NaN
         offline = copy.deepcopy(model)
         steps = offline.step_batch(steps_y, steps_m)
-        (result,) = execute_requests(
-            [_step_request(model, list(steps_y), list(steps_m), range(6))]
+        _, _, quality, _ = _step(
+            model, list(steps_y), list(steps_m), range(6)
         )
-        assert result.error is None
         want = []
         for seq, step, y, m in zip(range(6), steps, steps_y, steps_m):
             mask = np.asarray(m, dtype=bool)
@@ -315,9 +303,9 @@ class TestExecuteRequest:
                     int(np.count_nonzero(np.asarray(step.outliers))),
                 )
             )
-        assert len(result.quality) == len(want)
+        assert len(quality) == len(want)
         assert any(q[4] > 0 for q in want)
-        for got, expected in zip(result.quality, want):
+        for got, expected in zip(quality, want):
             assert got[0] == expected[0]
             assert got[1] == expected[1]
             assert got[4] == expected[4]
@@ -328,7 +316,7 @@ class TestExecuteRequest:
         "poison",
         ["factor", "temporal_buffer", "sigma", "level", "seasonal"],
     )
-    def test_non_finite_state_becomes_error_result(self, checkpoint, poison):
+    def test_non_finite_state_raises(self, checkpoint, poison):
         slices, masks = make_session_stream(seed=35, n_steps=2)
         model = load_sofia(checkpoint)
         state = model.state
@@ -340,33 +328,8 @@ class TestExecuteRequest:
             "seasonal": state.hw.seasonal,
         }[poison]
         target.flat[0] = np.nan
-        (result,) = execute_requests(
-            [_step_request(model, slices, masks, (0, 1))]
-        )
-        assert result.error is not None
-        assert result.error.startswith("FloatingPointError: ")
-        assert "non-finite" in result.error
-        assert result.model is None
-        assert result.results == []
-
-    def test_failed_request_echoes_trace_ids_and_drops_state(self):
-        request = FlushRequest(
-            session_id="broken",
-            config=make_config(),
-            step_seqs=[3],
-            step_ys=np.zeros((1, 5, 4)),
-            step_masks=np.ones((1, 5, 4), dtype=bool),
-            trace_ids={3: "trace-3"},
-        )
-        (result,) = execute_requests([request])
-        assert result.error is not None
-        assert result.model is None
-        assert result.results == []
-        assert result.consumed == 0
-        assert result.quality == []
-        assert result.trace_ids == {3: "trace-3"}
-        assert result.trace_ids is not request.trace_ids
-        assert result.seconds >= 0.0
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _step(model, slices, masks, (0, 1))
 
     def test_kernel_backend_is_scoped_to_the_request(self, checkpoint):
         slices, masks = make_session_stream(seed=34, n_steps=2)
@@ -383,67 +346,55 @@ class TestExecuteRequest:
             return real_step_batch(*args, **kwargs)
 
         model.step_batch = recording
-        (result,) = execute_requests(
-            [
-                _step_request(
-                    model, slices, masks, (0, 1), kernel_backend=pinned
-                )
-            ]
-        )
-        assert result.error is None
+        _step(model, slices, masks, (0, 1), kernel_backend=pinned)
         assert seen == [pinned]
         assert kernels.active_backend().name == before
 
-    def test_unknown_kernel_backend_becomes_error_result(self, checkpoint):
+    def test_unknown_kernel_backend_raises(self, checkpoint):
         slices, masks = make_session_stream(seed=35, n_steps=2)
         before = kernels.active_backend().name
-        (result,) = execute_requests(
-            [
-                _step_request(
-                    load_sofia(checkpoint),
-                    slices,
-                    masks,
-                    (0, 1),
-                    kernel_backend="no-such-backend",
-                )
-            ]
-        )
-        assert "no-such-backend" in result.error
-        assert result.model is None
+        with pytest.raises(ConfigError, match="no-such-backend"):
+            _step(
+                load_sofia(checkpoint),
+                slices,
+                masks,
+                (0, 1),
+                kernel_backend="no-such-backend",
+            )
         assert kernels.active_backend().name == before
 
 
-def _record_flushes(monkeypatch) -> list[tuple[str, list[str]]]:
-    """Wrap ``pool.execute_requests``; log (thread name, session ids)."""
+def _record_flushes(monkeypatch) -> list[tuple[str, int]]:
+    """Wrap ``pool.execute_requests``; log (thread name, config id)."""
     real = pool.execute_requests
     lock = threading.Lock()
-    calls: list[tuple[str, list[str]]] = []
+    calls: list[tuple[str, int]] = []
 
-    def recording(requests):
+    def recording(config, *args):
         with lock:
-            calls.append(
-                (
-                    threading.current_thread().name,
-                    [r.session_id for r in requests],
-                )
-            )
-        return real(requests)
+            calls.append((threading.current_thread().name, id(config)))
+        return real(config, *args)
 
     monkeypatch.setattr(pool, "execute_requests", recording)
     return calls
 
 
-def _ingest_fleet(manager, sids, n_steps, seed):
+def _ingest_fleet(manager, sids, n_steps, seed) -> dict[int, str]:
+    """Feed ``sids``; returns each session's config id -> session id."""
     streams = {
         sid: make_session_stream(seed=seed + i, n_steps=n_steps)
         for i, sid in enumerate(sids)
     }
+    owner = {}
     for sid in sids:
-        manager.create_session(sid, make_config())
+        config = make_config()
+        owner[id(config)] = sid
+        manager.create_session(sid, config)
     for t in range(n_steps):
         for sid, (slices, masks) in streams.items():
             manager.ingest(sid, slices[t], masks[t])
     manager.drain()
+    return owner
 
 
 class TestSingleSessionDispatch:
@@ -451,12 +402,11 @@ class TestSingleSessionDispatch:
         sids = [f"s{i}" for i in range(4)]
         with SessionManager(**DETERMINISTIC, workers=3) as manager:
             calls = _record_flushes(monkeypatch)
-            _ingest_fleet(manager, sids, n_steps=16, seed=40)
+            owner = _ingest_fleet(manager, sids, n_steps=16, seed=40)
             snapshot = manager.metrics.snapshot()
         assert calls
-        assert all(len(session_ids) == 1 for _, session_ids in calls)
-        assert {sid for _, (sid,) in calls} == set(sids)
-        # One dispatch per executed request, each a single session.
+        assert {owner[config] for _, config in calls} == set(sids)
+        # One dispatch per flush call, each a single session.
         assert snapshot["dispatches"] == len(calls)
 
     def test_flushes_run_on_named_dispatch_threads(self, monkeypatch):

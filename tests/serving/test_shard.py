@@ -7,7 +7,11 @@ does not perturb its trajectory at all (bit-identical results versus
 the unmigrated run).
 """
 
+import json
 import threading
+import time
+import urllib.error
+import urllib.request
 from collections import Counter
 
 import numpy as np
@@ -19,10 +23,11 @@ from repro.exceptions import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.serving import HTTPServingClient, SessionManager
+from repro.serving import HTTPServingClient, SessionManager, shard
 from repro.serving.gateway import serve
 from repro.serving.shard import (
     HashRing,
+    ShardRouterServer,
     aggregate_snapshots,
     start_local_cluster,
 )
@@ -241,14 +246,62 @@ class TestRouterProxy:
             )
         router_client.close_session("dup-s")
 
-    def test_unversioned_paths_redirect_through_router(self, cluster):
-        # The typed client follows the router's 308 onto /v1 with the
-        # method and body intact, same as against a bare gateway.
-        client = HTTPServingClient(cluster.url)
-        client._base = cluster.url  # strip the /v1 the client adds
-        client.create_session("redirected", dict(CONFIG_KWARGS))
-        assert "redirected" in client.list_sessions()
-        client.close_session("redirected")
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unversioned_path_is_404_envelope(self, cluster, method):
+        body = json.dumps({"session_id": "old-path"}).encode("utf-8")
+        request = urllib.request.Request(
+            cluster.url + "/sessions",
+            data=body if method == "POST" else None,
+            method=method,
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 404
+        assert json.loads(caught.value.read()) == {
+            "error": {
+                "type": "SessionNotFoundError",
+                "message": f"no route {method} /sessions",
+                "session": None,
+            }
+        }
+        assert "old-path" not in HTTPServingClient(cluster.url).list_sessions()
+
+
+class TestRouterCLI:
+    def test_local_shards_bind_one_router(self, monkeypatch, capsys):
+        created: list[ShardRouterServer] = []
+
+        class Recording(ShardRouterServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(shard, "ShardRouterServer", Recording)
+        exit_codes: list[int] = []
+        thread = threading.Thread(
+            target=lambda: exit_codes.append(
+                shard.main(["--local-shards", "2", "--port", "0"])
+            ),
+            daemon=True,
+        )
+        thread.start()
+        out = ""
+        try:
+            deadline = time.monotonic() + 30.0
+            while "listening on" not in out and time.monotonic() < deadline:
+                time.sleep(0.05)
+                out += capsys.readouterr().out
+            assert "listening on" in out
+            assert len(created) == 1
+            (router,) = created
+            assert f":{router.port}/v1 fronting 2 shard(s)" in out
+            assert len(router.ring.shards) == 2
+            assert len(HTTPServingClient(router.url).healthz()["shards"]) == 2
+        finally:
+            for router in created:
+                router.shutdown()
+            thread.join(timeout=30)
+        assert exit_codes == [0]
 
 
 class TestMigration:
