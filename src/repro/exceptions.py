@@ -43,6 +43,10 @@ class SessionError(ReproError, RuntimeError):
 class SessionNotFoundError(SessionError, KeyError):
     """No serving session is registered under the given id."""
 
+    # KeyError's str() is the repr of its argument, which would quote
+    # the message in every error envelope; this one reads as written.
+    __str__ = Exception.__str__
+
 
 class SessionExistsError(SessionError):
     """A serving session with the given id already exists."""

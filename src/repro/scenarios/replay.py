@@ -58,26 +58,12 @@ def _is_connection_error(exc: Exception) -> bool:
     for an unreachable upstream shard is the same outage seen through
     one extra hop, so those count too (the typed client stamps
     ``http_status`` on the exceptions it raises).  Anything else the
-    server answered (the typed envelope exceptions, HTTP errors) is an
-    application error and never retried — it would fail again
-    identically.
+    server answered (the typed envelope exceptions) is an application
+    error and never retried — it would fail again identically.
     """
-    import urllib.error
-
     if getattr(exc, "http_status", None) in (502, 503, 504):
         return True
-    if isinstance(exc, urllib.error.HTTPError):
-        return exc.code in (502, 503, 504)
-    return isinstance(
-        exc,
-        (
-            urllib.error.URLError,
-            ConnectionError,
-            http.client.HTTPException,
-            TimeoutError,
-            OSError,
-        ),
-    )
+    return isinstance(exc, (OSError, http.client.HTTPException))
 
 #: How long to wait for the server to flush everything after sending.
 _DRAIN_TIMEOUT_S = 60.0
@@ -387,8 +373,8 @@ def _drive(
     barrier = threading.Barrier(n_sessions + 1)
 
     def sender(index: int, session_id: str) -> None:
-        # One urllib client per thread; urllib opens a connection per
-        # request so threads never share sockets.
+        # One client per thread; it opens a connection per request, so
+        # threads never share sockets.
         local = HTTPServingClient(url)
         barrier.wait()
         start = time.monotonic()

@@ -8,10 +8,11 @@ live gateway without changing code:
 * :class:`InProcessServingClient` wraps a manager directly — zero
   serialization, the right tool for tests and embedded use;
 * :class:`HTTPServingClient` talks to a ``repro-serve`` gateway's
-  ``/v1`` surface with :mod:`urllib` (stdlib only), sending and
-  asking for data-plane arrays as binary NPY records
-  (:mod:`repro.serving.wire`) and mapping the JSON error envelope back
-  onto the same :mod:`repro.exceptions` types the server raised.
+  ``/v1`` surface over :mod:`http.client` (stdlib only, one connection
+  per request), sending and asking for data-plane arrays as binary NPY
+  records (:mod:`repro.serving.wire`) and mapping the JSON error
+  envelope back onto the same :mod:`repro.exceptions` types the server
+  raised.
 
 Arrays come back as :class:`numpy.ndarray` fields from both.
 """
@@ -20,9 +21,7 @@ from __future__ import annotations
 
 import base64
 import json
-import urllib.error
 import urllib.parse
-import urllib.request
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from repro.serving.api import (
 )
 from repro.serving.manager import SessionManager
 from repro.serving.observability import TRACE_HEADER
+from repro.serving.transport import round_trip
 
 __all__ = [
     "HTTPServingClient",
@@ -182,7 +182,7 @@ _ERROR_TYPES = {
 
 
 class HTTPServingClient:
-    """Talk to a ``repro-serve`` gateway or a shard router (urllib).
+    """Talk to a ``repro-serve`` gateway or a shard router over HTTP.
 
     Targets the versioned ``/v1`` surface; pass the bare base URL
     (``http://host:port``) without the version prefix.  The client is
@@ -201,18 +201,18 @@ class HTTPServingClient:
     def _call(
         self, method: str, path: str, body: bytes | None, headers: dict
     ) -> tuple[str, bytes]:
-        """One round trip: (Content-Type, body)."""
-        request = urllib.request.Request(
-            self._base + path, data=body, headers=headers, method=method
+        """One round trip: (Content-Type, body).
+
+        A reply that is not a 2xx raises as :meth:`_map_error` maps it;
+        transport failures raise :class:`OSError` or
+        :class:`http.client.HTTPException`.
+        """
+        status, content_type, data = round_trip(
+            self._base + path, method, body, headers, self._timeout
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self._timeout
-            ) as response:
-                content_type = response.headers.get("Content-Type")
-                return content_type or "", response.read()
-        except urllib.error.HTTPError as exc:
-            raise self._map_error(exc) from None
+        if status >= 300:
+            raise self._map_error(status, data)
+        return content_type, data
 
     def _request(
         self,
@@ -265,9 +265,9 @@ class HTTPServingClient:
         return json.loads(data.decode("utf-8"))
 
     @staticmethod
-    def _map_error(exc: urllib.error.HTTPError) -> Exception:
+    def _map_error(status: int, body: bytes) -> Exception:
         """The ``/v1`` error envelope back into an exception."""
-        detail = exc.read().decode("utf-8", errors="replace")
+        detail = body.decode("utf-8", errors="replace")
         try:
             envelope = json.loads(detail).get("error")
         except json.JSONDecodeError:
@@ -275,11 +275,11 @@ class HTTPServingClient:
         if not isinstance(envelope, dict):
             envelope = {"type": "SessionError", "message": detail}
         error_cls = _ERROR_TYPES.get(envelope.get("type"), SessionError)
-        error = error_cls(envelope.get("message") or f"HTTP {exc.code}")
+        error = error_cls(envelope.get("message") or f"HTTP {status}")
         # The status rides along so callers can tell a router's
         # upstream-unreachable 502 (a connection-class failure worth
         # retrying) from a true application rejection.
-        error.http_status = exc.code
+        error.http_status = status
         return error
 
     # ------------------------------------------------------------------

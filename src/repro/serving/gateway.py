@@ -1,8 +1,8 @@
 """Stdlib HTTP gateway in front of a :class:`SessionManager`.
 
-A :class:`~http.server.ThreadingHTTPServer` (one thread per connection,
-no third-party dependencies) exposing the serving runtime under a
-versioned prefix:
+A :class:`~repro.serving.transport.PooledHTTPServer` (each connection
+on a reused handler thread, no third-party dependencies) exposing the
+serving runtime under a versioned prefix:
 
 =======  ==================================  =================================
 Method   Path                                Body / query
@@ -72,7 +72,7 @@ import base64
 import binascii
 import json
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -80,7 +80,6 @@ import numpy as np
 from repro.exceptions import (
     CheckpointError,
     ConfigError,
-    ReproError,
     SessionError,
     SessionExistsError,
     SessionNotFoundError,
@@ -89,6 +88,7 @@ from repro.exceptions import (
 from repro.serving import wire
 from repro.serving.manager import SessionManager
 from repro.serving.observability import TRACE_HEADER, render_prometheus
+from repro.serving.transport import PooledHTTPServer
 
 __all__ = ["ServingHTTPServer", "main", "serve"]
 
@@ -193,9 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
         return wire.names_binary(self.headers.get("Accept"))
 
     def _read_json(self) -> dict:
-        # Read the body before any refusal, so a kept-alive connection
-        # stays in step with the next request.
-        raw = self._read_body()
+        raw = self.body
         if self._binary_body():
             raise ValueError(
                 f"this endpoint takes a JSON body, not {wire.MEDIA_TYPE}"
@@ -220,7 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
         for good, so it is a 400 before the manager sees the slice.
         """
         if self._binary_body():
-            arrays = wire.decode(self._read_body(), wire.SLICE)
+            arrays = wire.decode(self.body, wire.SLICE)
             values, mask = arrays["values"], arrays.get("mask")
         else:
             payload = self._read_json()
@@ -249,35 +247,22 @@ class _Handler(BaseHTTPRequestHandler):
         manager = self.server.manager
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
-        if parsed.path != API_PREFIX and not parsed.path.startswith(
+        versioned = parsed.path == API_PREFIX or parsed.path.startswith(
             API_PREFIX + "/"
-        ):
-            # Read the body first, so a kept-alive connection stays in
-            # step with the next request.
-            self._read_body()
-            self._send_error_json(
-                SessionNotFoundError(f"no route {method} {parsed.path}"),
-                None,
-            )
-            return
+        )
         path = parsed.path[len(API_PREFIX):]
-        session_id = self._session_of(path)
+        session_id = self._session_of(path) if versioned else None
         try:
-            handled = self._route(manager, method, path, query)
-        except ReproError as exc:
-            self._send_error_json(exc, session_id)
-            return
-        except (ValueError, KeyError) as exc:
-            self._send_error_json(exc, session_id)
-            return
+            # Read the body before routing, so a kept-alive connection
+            # stays in step with the next request whatever the answer.
+            self.body = self._read_body()
+            handled = versioned and self._route(manager, method, path, query)
         except Exception as exc:  # noqa: BLE001 - HTTP boundary
             self._send_error_json(exc, session_id)
             return
         if not handled:
             self._send_error_json(
-                SessionNotFoundError(
-                    f"no route {method} {parsed.path}"
-                ),
+                SessionNotFoundError(f"no route {method} {parsed.path}"),
                 session_id,
             )
 
@@ -463,10 +448,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
 
-class ServingHTTPServer(ThreadingHTTPServer):
+class ServingHTTPServer(PooledHTTPServer):
     """HTTP front of one :class:`SessionManager` (threaded, stdlib)."""
-
-    daemon_threads = True
 
     def __init__(
         self,

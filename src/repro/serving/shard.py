@@ -10,9 +10,11 @@ fleet:
   ``blake2b``-based hashing, never Python's salted ``hash``), so every
   router instance built from the same shard list places every session
   identically, and adding a shard moves only ~1/N of the keyspace.
-* :class:`ShardRouterServer` — a stdlib ``ThreadingHTTPServer`` that
-  proxies the full ``/v1`` surface: session-scoped requests forward to
-  the owning shard with status and body relayed verbatim (the
+* :class:`ShardRouterServer` — a
+  :class:`~repro.serving.transport.PooledHTTPServer` that proxies the
+  full ``/v1`` surface, one :func:`~repro.serving.transport.round_trip`
+  per hop: session-scoped requests forward to the owning shard with
+  status and body relayed verbatim (the
   structured error envelope survives the hop, so
   :class:`~repro.serving.client.HTTPServingClient` raises the same
   exception types through the router as against a bare gateway);
@@ -71,12 +73,10 @@ import re
 import tempfile
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.exceptions import ConfigError, SessionNotFoundError
@@ -93,6 +93,7 @@ from repro.serving.observability import (
     render_prometheus,
 )
 from repro.serving.store import checkpoint_meta_path
+from repro.serving.transport import PooledHTTPServer, round_trip
 
 __all__ = [
     "HashRing",
@@ -600,10 +601,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
 
-class ShardRouterServer(ThreadingHTTPServer):
+class ShardRouterServer(PooledHTTPServer):
     """Consistent-hash routing front for N ``repro-serve`` gateways."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -717,14 +716,16 @@ class ShardRouterServer(ThreadingHTTPServer):
 
     def _probe_fetch(self, shard: str, path: str) -> dict:
         """One single-attempt GET with the probe timeout (no retries)."""
-        request = urllib.request.Request(
+        status, _, body = round_trip(
             shard + API_PREFIX + path,
-            headers={"Accept": "application/json"},
+            "GET",
+            None,
+            {"Accept": _JSON},
+            self.probe_timeout,
         )
-        with urllib.request.urlopen(
-            request, timeout=self.probe_timeout
-        ) as response:
-            return json.loads(response.read().decode("utf-8"))
+        if status >= 300:
+            raise _ShardReply(status, body)
+        return json.loads(body.decode("utf-8"))
 
     def probe_once(self) -> dict:
         """One probe sweep over the ring (the loop's body, callable
@@ -955,31 +956,18 @@ class ShardRouterServer(ThreadingHTTPServer):
             }
             if headers:
                 request_headers.update(headers)
-            request = urllib.request.Request(
-                url,
-                data=body if body else None,
-                method=method,
-                headers=request_headers,
-            )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.proxy_timeout
-                ) as response:
-                    return (
-                        response.status,
-                        response.read(),
-                        response.headers.get("Content-Type", _JSON),
-                    )
-            except urllib.error.HTTPError as exc:
-                data = exc.read()
-                exc.close()
-                return (
-                    exc.code,
-                    data,
-                    exc.headers.get("Content-Type", _JSON),
+                status, content_type, data = round_trip(
+                    url,
+                    method,
+                    body or None,
+                    request_headers,
+                    self.proxy_timeout,
                 )
-            except (urllib.error.URLError, OSError) as exc:
+            except OSError as exc:
                 last_exc = exc
+                continue
+            return status, data, content_type or _JSON
         match = _SESSION_PATH.match(path)
         return (
             502,

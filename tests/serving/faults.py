@@ -35,7 +35,9 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
+
+from repro.serving.transport import PooledHTTPServer
 
 __all__ = ["ChaosProxy", "Rule", "start_chaos_proxy"]
 
@@ -150,10 +152,8 @@ class _ChaosHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
 
 
-class ChaosProxy(ThreadingHTTPServer):
+class ChaosProxy(PooledHTTPServer):
     """Programmable fault-injecting reverse proxy (see module docs)."""
-
-    daemon_threads = True
 
     def __init__(
         self,

@@ -1,4 +1,4 @@
-"""HTTP tests: a live ThreadingHTTPServer driven by HTTPServingClient."""
+"""HTTP tests: a live gateway driven by HTTPServingClient."""
 
 import http.client
 import io
@@ -454,6 +454,35 @@ class TestMalformedBodies:
             refused = connection.getresponse()
             refused.read()
             assert refused.status == 400
+            # The same connection serves the next request.
+            connection.request("GET", url.path + "/healthz")
+            health = connection.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    def test_unrouted_body_is_drained_on_a_kept_alive_connection(
+        self, live_gateway
+    ):
+        client, _ = live_gateway
+        url = urllib.parse.urlsplit(client._base)
+        connection = http.client.HTTPConnection(url.netloc, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                url.path + "/bogus",
+                json.dumps({"values": [[1.0, 2.0]]}),
+                {"Content-Type": "application/json"},
+            )
+            unrouted = connection.getresponse()
+            envelope = json.loads(unrouted.read())["error"]
+            assert unrouted.status == 404
+            assert envelope == {
+                "type": "SessionNotFoundError",
+                "message": "no route POST /v1/bogus",
+                "session": None,
+            }
             # The same connection serves the next request.
             connection.request("GET", url.path + "/healthz")
             health = connection.getresponse()

@@ -31,6 +31,7 @@ from repro.serving.shard import (
     aggregate_snapshots,
     start_local_cluster,
 )
+from repro.serving.transport import round_trip
 from tests.serving.conftest import CONFIG_KWARGS, make_session_stream
 
 
@@ -163,10 +164,21 @@ def router_client(cluster):
     return HTTPServingClient(cluster.url)
 
 
+def _drained_results(client, session_id):
+    """Every ingested slice's result.
+
+    ``results`` returns what has completed so far and does not wait for
+    pending flushes; ``forecast`` drains the session first and leaves
+    the model as it is.
+    """
+    client.forecast(session_id, 1)
+    return client.results(session_id)
+
+
 def _ingest_and_collect(client, session_id, slices, masks):
     for values, mask in zip(slices, masks):
         client.ingest(session_id, values, mask)
-    return client.results(session_id)
+    return _drained_results(client, session_id)
 
 
 class TestRouterProxy:
@@ -245,6 +257,26 @@ class TestRouterProxy:
                 "bad-config", {"not_a_real_option": 1}
             )
         router_client.close_session("dup-s")
+
+    @pytest.mark.parametrize(
+        ("method", "path", "message"),
+        [
+            ("GET", "/v1/sessions/nope", "no session 'nope'"),
+            ("POST", "/v1/bogus", "no route POST /v1/bogus"),
+        ],
+    )
+    def test_not_found_envelopes_agree(self, cluster, method, path, message):
+        envelopes = []
+        for base in (cluster.shard_urls[0], cluster.url):
+            status, _, body = round_trip(
+                base + path, method, b"{}", {}, timeout=10
+            )
+            assert status == 404
+            envelopes.append(json.loads(body)["error"])
+        gateway, router = envelopes
+        assert gateway == router
+        assert gateway["type"] == "SessionNotFoundError"
+        assert gateway["message"] == message
 
     @pytest.mark.parametrize("method", ["GET", "POST"])
     def test_unversioned_path_is_404_envelope(self, cluster, method):
@@ -326,7 +358,7 @@ class TestMigration:
         router_client.create_session("mig-live", dict(CONFIG_KWARGS))
         for values, mask in zip(slices[:10], masks[:10]):
             router_client.ingest("mig-live", values, mask)
-        first_half = router_client.results("mig-live")
+        first_half = _drained_results(router_client, "mig-live")
         source = self._placement(cluster, "mig-live")
         target = next(
             shard for shard in cluster.shard_urls if shard != source
@@ -339,7 +371,7 @@ class TestMigration:
         assert "mig-live" not in HTTPServingClient(source).list_sessions()
         for values, mask in zip(slices[10:], masks[10:]):
             router_client.ingest("mig-live", values, mask)
-        migrated = first_half + router_client.results("mig-live")
+        migrated = first_half + _drained_results(router_client, "mig-live")
 
         assert [r.seq for r in migrated] == [r.seq for r in reference]
         for got, expected in zip(migrated, reference):
