@@ -178,6 +178,7 @@ _ERROR_TYPES = {
     "ConfigError": ConfigError,
     "ShapeError": ShapeError,
     "CheckpointError": CheckpointError,
+    "ValueError": ValueError,
 }
 
 
@@ -269,9 +270,10 @@ class HTTPServingClient:
         """The ``/v1`` error envelope back into an exception."""
         detail = body.decode("utf-8", errors="replace")
         try:
-            envelope = json.loads(detail).get("error")
+            reply = json.loads(detail)
         except json.JSONDecodeError:
-            envelope = None
+            reply = None
+        envelope = reply.get("error") if isinstance(reply, dict) else None
         if not isinstance(envelope, dict):
             envelope = {"type": "SessionError", "message": detail}
         error_cls = _ERROR_TYPES.get(envelope.get("type"), SessionError)

@@ -57,7 +57,16 @@ Every error is a uniform JSON envelope::
 with ``session`` null when the failing request named none.  Types map
 onto status codes: unknown session 404, duplicate session or
 session-state conflicts (warming up, failed) 409, bad
-configs/shapes/bodies 400, everything else 500.
+configs/shapes/bodies 400, everything else 500.  A ``Content-Length``
+that is not a number is a 400 that closes the connection.  What the
+stdlib's parser refuses (a bad request line, an oversized header, an
+unsupported method such as ``PUT``) keeps the stdlib's status, has
+type ``HTTPError`` and closes the connection too.
+
+:class:`EdgeHandler` is that edge: the body read, the envelope, the
+status map and the reply counter.  The gateway's handler and the shard
+router's (:mod:`repro.serving.shard`) both derive from it and add only
+their route tables, so both servers answer bad input alike.
 
 ``main`` is the ``repro-serve`` console entry point::
 
@@ -73,7 +82,7 @@ import binascii
 import json
 import re
 from http.server import BaseHTTPRequestHandler
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 import numpy as np
 
@@ -81,7 +90,6 @@ from repro.exceptions import (
     CheckpointError,
     ConfigError,
     SessionError,
-    SessionExistsError,
     SessionNotFoundError,
     ShapeError,
 )
@@ -94,6 +102,9 @@ __all__ = ["ServingHTTPServer", "main", "serve"]
 
 #: The one API version this gateway speaks.
 API_PREFIX = "/v1"
+
+#: Content type of every JSON reply, the error envelope included.
+JSON_CONTENT_TYPE = "application/json"
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -111,6 +122,10 @@ def _reject_constant(name: str):
     )
 
 
+#: A version-stripped path under one session; the envelope's
+#: ``session`` is its ``sid``.
+SESSION_SCOPE = re.compile(r"^/sessions/(?P<sid>[^/]+)(?:/|$)")
+
 _SESSION_PATH = re.compile(
     r"^/sessions/(?P<sid>[^/]+)"
     r"(?P<tail>/(?:slices|results|impute|forecast|export|import"
@@ -118,11 +133,24 @@ _SESSION_PATH = re.compile(
 )
 
 
+def error_body(
+    error_type: str, message: str, session_id: str | None
+) -> bytes:
+    """The encoded error envelope (see the module docstring)."""
+    return json.dumps(
+        {
+            "error": {
+                "type": error_type,
+                "message": message,
+                "session": session_id,
+            }
+        }
+    ).encode("utf-8")
+
+
 def _status_for(exc: Exception) -> int:
     if isinstance(exc, SessionNotFoundError):
         return 404
-    if isinstance(exc, SessionExistsError):
-        return 409
     if isinstance(exc, SessionError):
         return 409
     if isinstance(
@@ -133,64 +161,81 @@ def _status_for(exc: Exception) -> int:
     return 500
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one request; the manager lives on the server object."""
+class EdgeHandler(BaseHTTPRequestHandler):
+    """The HTTP edge the gateway and the shard router share.
 
-    server: "ServingHTTPServer"
+    The body is read before routing, whatever the answer, so a
+    kept-alive connection stays in step with the next request.  A
+    subclass's ``_route`` gets the version-stripped path and the raw
+    query string and returns whether it answered; an exception it
+    raises becomes the error envelope with the status
+    :func:`_status_for` picks, and an unanswered request a 404.  Every
+    reply goes out through :meth:`_send`, which counts it with the
+    server's ``observe_http``, the stdlib's own refusals included.
+    """
+
     protocol_version = "HTTP/1.1"
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(body, status, "application/json")
+    def send_error(self, code, message=None, explain=None):
+        """A refusal from the stdlib's parser, sent as the envelope.
 
-    def _send_text(self, text: str, status: int = 200) -> None:
-        """Prometheus text exposition."""
-        self._send_body(
-            text.encode("utf-8"), status, PROMETHEUS_CONTENT_TYPE
+        That is a bad request line, an oversized header or an
+        unsupported method; as with the stdlib's own page, the
+        connection closes after it.
+        """
+        self.log_error("code %d, message %s", code, message)
+        self._send(
+            code,
+            error_body(
+                "HTTPError", message or self.responses[code][0], None
+            ),
+            close=True,
         )
 
-    def _send_body(
-        self, body: bytes, status: int, content_type: str
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = JSON_CONTENT_TYPE,
+        *,
+        close: bool = False,
     ) -> None:
-        # Every response the gateway sends passes through here, so the
-        # HTTP request/error counters see 4xx and 5xx too.
-        self.server.manager.metrics.observe_http(status)
+        self.server.observe_http(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def _send_json(self, payload: dict, status: int = 200) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"))
+
+    def _send_text(self, text: str) -> None:
+        """Prometheus text exposition."""
+        self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
 
     def _send_error_json(
-        self, exc: Exception, session_id: str | None
+        self,
+        exc: Exception,
+        session_id: str | None,
+        *,
+        close: bool = False,
     ) -> None:
-        self._send_json(
-            {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "session": session_id,
-                }
-            },
-            status=_status_for(exc),
+        self._send(
+            _status_for(exc),
+            error_body(type(exc).__name__, str(exc), session_id),
+            close=close,
         )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
 
     def _binary_body(self) -> bool:
         return wire.names_binary(self.headers.get("Content-Type"))
-
-    def _wants_binary(self) -> bool:
-        return wire.names_binary(self.headers.get("Accept"))
 
     def _read_json(self) -> dict:
         raw = self.body
@@ -209,6 +254,63 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
+
+    def _read_create(self) -> tuple[str, dict]:
+        """``(session id, body)`` of a ``POST /v1/sessions``."""
+        payload = self._read_json()
+        if "session_id" not in payload:
+            raise ValueError("body needs a 'session_id'")
+        return str(payload["session_id"]), payload
+
+    def _dispatch(self, method: str) -> None:
+        path, _, query = self.path.partition("?")
+        versioned = path == API_PREFIX or path.startswith(API_PREFIX + "/")
+        route = path[len(API_PREFIX):]
+        scope = SESSION_SCOPE.match(route) if versioned else None
+        session_id = scope.group("sid") if scope else None
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            # The request's end is unknown, and so is where the next
+            # one starts: this is the connection's last reply.
+            self._send_error_json(
+                ValueError(f"bad Content-Length {length!r}"),
+                session_id,
+                close=True,
+            )
+            return
+        self.body = self.rfile.read(int(length))
+        try:
+            handled = versioned and self._route(method, route, query)
+        except Exception as exc:  # noqa: BLE001 - HTTP boundary
+            self._send_error_json(exc, session_id)
+            return
+        if not handled:
+            self._send_error_json(
+                SessionNotFoundError(f"no route {method} {path}"),
+                session_id,
+            )
+
+    def _route(self, method: str, path: str, query: str) -> bool:
+        raise NotImplementedError
+
+    # BaseHTTPRequestHandler hooks
+    def do_GET(self):  # noqa: N802 - stdlib naming
+        self._dispatch("GET")
+
+    def do_POST(self):  # noqa: N802
+        self._dispatch("POST")
+
+    def do_DELETE(self):  # noqa: N802
+        self._dispatch("DELETE")
+
+
+class _Handler(EdgeHandler):
+    """The gateway's routes; the manager lives on the server object."""
+
+    server: "ServingHTTPServer"
+
+    def _wants_binary(self) -> bool:
+        return wire.names_binary(self.headers.get("Accept"))
 
     def _read_slice(self) -> tuple[np.ndarray, object]:
         """``(values, mask)`` of an ingest or impute body, either format.
@@ -235,41 +337,14 @@ class _Handler(BaseHTTPRequestHandler):
         return values, mask
 
     def _send_arrays(self, layout, *arrays) -> None:
-        self._send_body(wire.encode(layout, *arrays), 200, wire.MEDIA_TYPE)
-
-    @staticmethod
-    def _session_of(path: str) -> str | None:
-        """The session id named by a (version-stripped) path, if any."""
-        match = _SESSION_PATH.match(path)
-        return match.group("sid") if match else None
-
-    def _dispatch(self, method: str) -> None:
-        manager = self.server.manager
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        versioned = parsed.path == API_PREFIX or parsed.path.startswith(
-            API_PREFIX + "/"
-        )
-        path = parsed.path[len(API_PREFIX):]
-        session_id = self._session_of(path) if versioned else None
-        try:
-            # Read the body before routing, so a kept-alive connection
-            # stays in step with the next request whatever the answer.
-            self.body = self._read_body()
-            handled = versioned and self._route(manager, method, path, query)
-        except Exception as exc:  # noqa: BLE001 - HTTP boundary
-            self._send_error_json(exc, session_id)
-            return
-        if not handled:
-            self._send_error_json(
-                SessionNotFoundError(f"no route {method} {parsed.path}"),
-                session_id,
-            )
+        self._send(200, wire.encode(layout, *arrays), wire.MEDIA_TYPE)
 
     # ------------------------------------------------------------------
     # Routes (paths arrive with the version prefix stripped)
     # ------------------------------------------------------------------
-    def _route(self, manager, method, path, query) -> bool:
+    def _route(self, method, path, query) -> bool:
+        manager = self.server.manager
+        query = parse_qs(query)
         if method == "GET" and path == "/healthz":
             self._send_json(
                 {"status": "ok", "sessions": len(manager.list_sessions())}
@@ -302,11 +377,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return True
             if method == "POST":
-                payload = self._read_json()
-                if "session_id" not in payload:
-                    raise ValueError("body needs a 'session_id'")
+                session_id, payload = self._read_create()
                 info = manager.create_session(
-                    str(payload["session_id"]),
+                    session_id,
                     config=payload.get("config"),
                     checkpoint=payload.get("checkpoint"),
                     kernel_backend=payload.get("kernel_backend"),
@@ -437,16 +510,6 @@ class _Handler(BaseHTTPRequestHandler):
             return True
         return False
 
-    # BaseHTTPRequestHandler hooks
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self):  # noqa: N802
-        self._dispatch("DELETE")
-
 
 class ServingHTTPServer(PooledHTTPServer):
     """HTTP front of one :class:`SessionManager` (threaded, stdlib)."""
@@ -461,6 +524,10 @@ class ServingHTTPServer(PooledHTTPServer):
         super().__init__(address, _Handler)
         self.manager = manager
         self.verbose = verbose
+
+    def observe_http(self, status: int) -> None:
+        """Count one HTTP reply in the manager's metrics."""
+        self.manager.metrics.observe_http(status)
 
     @property
     def port(self) -> int:

@@ -13,9 +13,12 @@ fleet:
 * :class:`ShardRouterServer` — a
   :class:`~repro.serving.transport.PooledHTTPServer` that proxies the
   full ``/v1`` surface, one :func:`~repro.serving.transport.round_trip`
-  per hop: session-scoped requests forward to the owning shard with
-  status and body relayed verbatim (the
-  structured error envelope survives the hop, so
+  per hop.  Its handler derives from the gateway's
+  :class:`~repro.serving.gateway.EdgeHandler`, so the router reads
+  bodies, builds error envelopes, maps exceptions to statuses and
+  counts replies exactly as a gateway does.  Session-scoped requests
+  forward to the owning shard with status and body relayed verbatim
+  (the structured error envelope survives the hop, so
   :class:`~repro.serving.client.HTTPServingClient` raises the same
   exception types through the router as against a bare gateway);
   ``/v1/sessions`` merges the fleet's listings (with per-session
@@ -69,21 +72,22 @@ import base64
 import bisect
 import hashlib
 import json
-import re
 import tempfile
 import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.exceptions import ConfigError, SessionNotFoundError
 from repro.serving.gateway import (
     API_PREFIX,
-    PROMETHEUS_CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
+    SESSION_SCOPE,
+    EdgeHandler,
     ServingHTTPServer,
+    error_body,
     serve,
 )
 from repro.serving.manager import SessionManager
@@ -104,10 +108,6 @@ __all__ = [
     "main",
     "start_local_cluster",
 ]
-
-_SESSION_PATH = re.compile(r"^/sessions/(?P<sid>[^/]+)(?:/|$)")
-
-_JSON = "application/json"
 
 #: Derived metric keys recomputed from the summed counters instead of
 #: being summed themselves (a sum of per-shard means is meaningless).
@@ -333,51 +333,12 @@ def aggregate_snapshots(per_shard: dict[str, dict]) -> dict:
 
 
 class _ShardReply(Exception):
-    """An upstream (or router-made) response to relay as-is."""
+    """An upstream shard's error reply, to relay as-is."""
 
     def __init__(self, status: int, body: bytes) -> None:
         super().__init__(f"HTTP {status}")
         self.status = status
         self.body = body
-
-
-def _error_body(
-    error_type: str, message: str, session_id: str | None
-) -> bytes:
-    return json.dumps(
-        {
-            "error": {
-                "type": error_type,
-                "message": message,
-                "session": session_id,
-            }
-        }
-    ).encode("utf-8")
-
-
-def _parse_json_body(body: bytes, session_id: str | None) -> dict:
-    """Decode a request body as a JSON object or raise a 400 reply."""
-    try:
-        payload = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _ShardReply(
-            400,
-            _error_body(
-                "ValueError",
-                f"request body is not valid JSON: {exc}",
-                session_id,
-            ),
-        ) from None
-    if not isinstance(payload, dict):
-        raise _ShardReply(
-            400,
-            _error_body(
-                "ValueError",
-                "request body must be a JSON object",
-                session_id,
-            ),
-        )
-    return payload
 
 
 @dataclass
@@ -422,43 +383,10 @@ class ShardHealth:
         }
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Routes one request; placement state lives on the server."""
+class _RouterHandler(EdgeHandler):
+    """The router's routes; placement state lives on the server."""
 
     server: "ShardRouterServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-    ) -> None:
-        self.server.observe_http(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        self._send(status, json.dumps(payload).encode("utf-8"))
-
-    def _send_text(
-        self, text: str, status: int = 200, content_type: str = "text/plain"
-    ) -> None:
-        self._send(status, text.encode("utf-8"), content_type)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
 
     def _relayed_headers(self) -> dict[str, str]:
         """The caller's headers the owning shard must see.
@@ -474,56 +402,40 @@ class _RouterHandler(BaseHTTPRequestHandler):
             if self.headers.get(name)
         }
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        path, _, query = self.path.partition("?")
-        if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
-            self._read_body()
-            self._send_no_route(method, path)
-            return
-        path = path[len(API_PREFIX):]
-        try:
-            self._route(method, path, query)
-        except _ShardReply as reply:
-            self._send(reply.status, reply.body)
-        except Exception as exc:  # noqa: BLE001 - HTTP boundary
-            match = _SESSION_PATH.match(path)
-            status = 400 if isinstance(exc, ConfigError) else 500
-            self._send(
-                status,
-                _error_body(
-                    type(exc).__name__,
-                    str(exc),
-                    match.group("sid") if match else None,
-                ),
-            )
+    def _forward(self, shard: str, method: str, path: str, query: str):
+        """Relay this request to ``shard``: ``(status, body, type)``."""
+        return self.server.forward(
+            shard,
+            method,
+            path,
+            body=self.body,
+            query=query,
+            headers=self._relayed_headers(),
+        )
 
-    def _route(self, method: str, path: str, query: str) -> None:
+    # ------------------------------------------------------------------
+    # Routes (paths arrive with the version prefix stripped)
+    # ------------------------------------------------------------------
+    def _route(self, method: str, path: str, query: str) -> bool:
         router = self.server
-        body = self._read_body()
         if method == "GET" and path == "/healthz":
             self._send_json(router.fleet_health())
-            return
+            return True
         if method == "GET" and path == "/metrics":
             params = urllib.parse.parse_qs(query)
             if params.get("format", [""])[0] == "prometheus":
-                self._send_text(
-                    render_prometheus(router.fleet_metrics()),
-                    content_type=PROMETHEUS_CONTENT_TYPE,
-                )
+                self._send_text(render_prometheus(router.fleet_metrics()))
             else:
                 self._send_json(router.fleet_metrics())
-            return
+            return True
         if method == "GET" and path == "/traces":
             self._send_json(router.merged_traces(query))
-            return
+            return True
         if method == "GET" and path == "/shards":
             self._send_json(router.describe())
-            return
+            return True
         if method == "POST" and path in ("/shards/join", "/shards/drain"):
-            payload = _parse_json_body(body, None)
+            payload = self._read_json()
             url = str(payload.get("url") or payload.get("shard") or "")
             if path.endswith("/join"):
                 result = router.join_shard(
@@ -532,73 +444,47 @@ class _RouterHandler(BaseHTTPRequestHandler):
             else:
                 result = router.drain_shard(url)
             self._send_json(result)
-            return
+            return True
         if path == "/sessions":
             if method == "GET":
                 self._send_json(router.merged_session_listing())
-                return
+                return True
             if method == "POST":
-                session_id = router.session_id_of(body)
+                session_id, _ = self._read_create()
                 with router.session_lock(session_id):
                     shard = router.place_new(session_id)
-                    status, payload, content_type = router.forward(
-                        shard,
-                        method,
-                        path,
-                        body=body,
-                        query=query,
-                        headers=self._relayed_headers(),
+                    status, payload, content_type = self._forward(
+                        shard, method, path, query
                     )
                     if status < 400:
                         router.note_session_created(session_id, shard)
                 self._send(status, payload, content_type)
-                return
-        match = _SESSION_PATH.match(path)
-        if match:
-            session_id = match.group("sid")
-            if path.endswith("/migrate") and method == "POST":
-                self._send_json(
-                    router.migrate(session_id, body)
-                )
-                return
-            with router.session_lock(session_id):
-                shard = router.placement(session_id)
-                status, payload, content_type = router.forward(
-                    shard,
-                    method,
-                    path,
-                    body=body,
-                    query=query,
-                    headers=self._relayed_headers(),
-                )
-                if method == "DELETE" and status < 400:
-                    router.forget_placement(session_id)
-                elif method == "POST" and status < 400:
-                    if path.endswith("/import"):
-                        router.note_session_created(session_id, shard)
-                    if path.endswith(("/slices", "/import")):
-                        router.note_ingest(session_id, payload)
-            self._send(status, payload, content_type)
-            return
-        self._send_no_route(method, API_PREFIX + path)
-
-    def _send_no_route(self, method: str, path: str) -> None:
-        self._send(
-            404,
-            _error_body(
-                "SessionNotFoundError", f"no route {method} {path}", None
-            ),
-        )
-
-    # BaseHTTPRequestHandler hooks
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self):  # noqa: N802
-        self._dispatch("DELETE")
+                return True
+        match = SESSION_SCOPE.match(path)
+        if not match:
+            return False
+        session_id = match.group("sid")
+        if path.endswith("/migrate") and method == "POST":
+            target = self._read_json().get("target")
+            try:
+                self._send_json(router.migrate(session_id, target))
+            except _ShardReply as reply:
+                self._send(reply.status, reply.body)
+            return True
+        with router.session_lock(session_id):
+            shard = router.placement(session_id)
+            status, payload, content_type = self._forward(
+                shard, method, path, query
+            )
+            if method == "DELETE" and status < 400:
+                router.forget_placement(session_id)
+            elif method == "POST" and status < 400:
+                if path.endswith("/import"):
+                    router.note_session_created(session_id, shard)
+                if path.endswith(("/slices", "/import")):
+                    router.note_ingest(session_id, payload)
+        self._send(status, payload, content_type)
+        return True
 
 
 class ShardRouterServer(PooledHTTPServer):
@@ -720,7 +606,7 @@ class ShardRouterServer(PooledHTTPServer):
             shard + API_PREFIX + path,
             "GET",
             None,
-            {"Accept": _JSON},
+            {"Accept": JSON_CONTENT_TYPE},
             self.probe_timeout,
         )
         if status >= 300:
@@ -887,29 +773,6 @@ class ShardRouterServer(PooledHTTPServer):
                 lock = self._session_locks[session_id] = threading.Lock()
             return lock
 
-    @staticmethod
-    def session_id_of(body: bytes) -> str:
-        """The session id named by a ``POST /sessions`` body."""
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _ShardReply(
-                400,
-                _error_body(
-                    "ValueError",
-                    f"request body is not valid JSON: {exc}",
-                    None,
-                ),
-            ) from None
-        if not isinstance(payload, dict) or "session_id" not in payload:
-            raise _ShardReply(
-                400,
-                _error_body(
-                    "ValueError", "body needs a 'session_id'", None
-                ),
-            )
-        return str(payload["session_id"])
-
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
@@ -951,8 +814,8 @@ class ShardRouterServer(PooledHTTPServer):
                 with self._state_lock:
                     self._retried += 1
             request_headers = {
-                "Accept": _JSON,
-                "Content-Type": _JSON,
+                "Accept": JSON_CONTENT_TYPE,
+                "Content-Type": JSON_CONTENT_TYPE,
             }
             if headers:
                 request_headers.update(headers)
@@ -967,16 +830,16 @@ class ShardRouterServer(PooledHTTPServer):
             except OSError as exc:
                 last_exc = exc
                 continue
-            return status, data, content_type or _JSON
-        match = _SESSION_PATH.match(path)
+            return status, data, content_type or JSON_CONTENT_TYPE
+        match = SESSION_SCOPE.match(path)
         return (
             502,
-            _error_body(
+            error_body(
                 "SessionError",
                 f"shard {shard} unreachable: {last_exc}",
                 match.group("sid") if match else None,
             ),
-            _JSON,
+            JSON_CONTENT_TYPE,
         )
 
     def _forward_ok(
@@ -1162,8 +1025,8 @@ class ShardRouterServer(PooledHTTPServer):
     # ------------------------------------------------------------------
     # Live migration
     # ------------------------------------------------------------------
-    def migrate(self, session_id: str, body: bytes) -> dict:
-        """Move a live session to the shard named in the request body.
+    def migrate(self, session_id: str, target: str | None) -> dict:
+        """Move a live session to the shard ``target``.
 
         Under the session's lock (no request can land mid-handoff):
         export on the source (which drains pending slices), import on
@@ -1171,17 +1034,11 @@ class ShardRouterServer(PooledHTTPServer):
         the source copy.  A failed import leaves the session exactly
         where it was; the upstream error envelope is relayed.
         """
-        payload = _parse_json_body(body, session_id)
-        target = str(payload.get("target") or "").rstrip("/")
+        target = str(target or "").rstrip("/")
         if target not in self.ring.shards:
-            raise _ShardReply(
-                400,
-                _error_body(
-                    "ConfigError",
-                    f"migration target must be one of {self.ring.shards},"
-                    f" got {target!r}",
-                    session_id,
-                ),
+            raise ConfigError(
+                f"migration target must be one of {self.ring.shards},"
+                f" got {target!r}"
             )
         return self._migrate_to(session_id, target)
 

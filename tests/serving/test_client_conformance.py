@@ -216,6 +216,14 @@ class TestSharedErrors:
         with pytest.raises(SessionError, match="warming"):
             client.forecast("cold", 2)
 
+    def test_non_finite_observed_value(self, client):
+        slices, masks = make_session_stream(seed=42, n_steps=1)
+        values, mask = slices[0].copy(), masks[0].copy()
+        values[0, 0], mask[0, 0] = np.nan, True
+        client.create_session("s", dict(CONFIG_KWARGS))
+        with pytest.raises(ValueError, match="finite"):
+            client.ingest("s", values, mask)
+
 
 class TestResultsArePlainRecords:
     """Results are dataclasses and nothing else: no int, tuple or dict."""

@@ -197,6 +197,26 @@ class TestHTTPErrors:
             envelope = json.loads(exc.read())["error"]
         assert envelope["session"] is None
 
+    def test_unsupported_method_is_a_counted_envelope(self, live_gateway):
+        client, manager = live_gateway
+        before = manager.metrics.snapshot()["http_errors_5xx"]
+        request = urllib.request.Request(
+            f"{client._base}/healthz", data=b"{}", method="PUT"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 501
+        assert caught.value.headers["Content-Type"] == "application/json"
+        assert caught.value.headers["Connection"] == "close"
+        assert json.loads(caught.value.read()) == {
+            "error": {
+                "type": "HTTPError",
+                "message": "Unsupported method ('PUT')",
+                "session": None,
+            }
+        }
+        assert manager.metrics.snapshot()["http_errors_5xx"] == before + 1
+
 
 def _post_raw(
     url: str, body: bytes, content_type: str = "application/json"
@@ -454,11 +474,14 @@ class TestMalformedBodies:
             refused = connection.getresponse()
             refused.read()
             assert refused.status == 400
-            # The same connection serves the next request.
+            # The same connection serves the next request (http.client
+            # would silently reconnect, so the socket must be the same).
+            sock = connection.sock
             connection.request("GET", url.path + "/healthz")
             health = connection.getresponse()
             assert health.status == 200
             assert json.loads(health.read())["status"] == "ok"
+            assert connection.sock is sock
         finally:
             connection.close()
 
@@ -484,10 +507,12 @@ class TestMalformedBodies:
                 "session": None,
             }
             # The same connection serves the next request.
+            sock = connection.sock
             connection.request("GET", url.path + "/healthz")
             health = connection.getresponse()
             assert health.status == 200
             assert json.loads(health.read())["status"] == "ok"
+            assert connection.sock is sock
         finally:
             connection.close()
 

@@ -7,10 +7,12 @@ does not perturb its trajectory at all (bit-identical results versus
 the unmigrated run).
 """
 
+import http.client
 import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from collections import Counter
 
@@ -147,6 +149,10 @@ class TestAggregateSnapshots:
         assert latency["p99_seconds"] == pytest.approx(0.7)
 
 
+#: A request sent with ``Content-Length: abc`` and no body.
+BAD_LENGTH = object()
+
+
 @pytest.fixture
 def cluster():
     """A live two-shard router fleet, per-step flushing.
@@ -259,24 +265,130 @@ class TestRouterProxy:
         router_client.close_session("dup-s")
 
     @pytest.mark.parametrize(
-        ("method", "path", "message"),
+        ("method", "path", "body", "status", "error_type", "message"),
         [
-            ("GET", "/v1/sessions/nope", "no session 'nope'"),
-            ("POST", "/v1/bogus", "no route POST /v1/bogus"),
+            pytest.param(
+                "GET", "/v1/sessions/nope", b"{}", 404,
+                "SessionNotFoundError", "no session 'nope'",
+                id="unknown-session",
+            ),
+            pytest.param(
+                "POST", "/v1/bogus", b"{}", 404,
+                "SessionNotFoundError", "no route POST /v1/bogus",
+                id="unknown-versioned-path",
+            ),
+            pytest.param(
+                "POST", "/sessions", b"{}", 404,
+                "SessionNotFoundError", "no route POST /sessions",
+                id="unversioned-path",
+            ),
+            pytest.param(
+                "POST", "/v1/sessions", b"not json", 400, "ValueError",
+                "request body is not valid JSON: Expecting value: "
+                "line 1 column 1 (char 0)",
+                id="non-json-body",
+            ),
+            pytest.param(
+                "POST", "/v1/sessions", b"[1, 2]", 400, "ValueError",
+                "request body must be a JSON object",
+                id="non-object-body",
+            ),
+            pytest.param(
+                "POST", "/v1/sessions", BAD_LENGTH, 400, "ValueError",
+                "bad Content-Length 'abc'",
+                id="bad-length-versioned",
+            ),
+            pytest.param(
+                "POST", "/sessions", BAD_LENGTH, 400, "ValueError",
+                "bad Content-Length 'abc'",
+                id="bad-length-unversioned",
+            ),
+            pytest.param(
+                "PUT", "/v1/healthz", b"{}", 501, "HTTPError",
+                "Unsupported method ('PUT')",
+                id="unsupported-method",
+            ),
         ],
     )
-    def test_not_found_envelopes_agree(self, cluster, method, path, message):
-        envelopes = []
+    def test_not_found_envelopes_agree(
+        self, cluster, method, path, body, status, error_type, message
+    ):
+        """Gateway and router answer bad input with one envelope.
+
+        Each error arrives on a kept-alive connection, which must then
+        serve ``GET /v1/healthz`` on the same socket unless the reply
+        closed it.
+        """
+        replies = []
         for base in (cluster.shard_urls[0], cluster.url):
-            status, _, body = round_trip(
-                base + path, method, b"{}", {}, timeout=10
+            connection = http.client.HTTPConnection(
+                urllib.parse.urlsplit(base).netloc, timeout=10
             )
-            assert status == 404
-            envelopes.append(json.loads(body)["error"])
-        gateway, router = envelopes
+            try:
+                if body is BAD_LENGTH:
+                    connection.putrequest(method, path)
+                    connection.putheader("Content-Length", "abc")
+                    connection.endheaders()
+                else:
+                    connection.request(method, path, body)
+                response = connection.getresponse()
+                closed = response.getheader("Connection") == "close"
+                replies.append(
+                    (
+                        response.status,
+                        response.getheader("Content-Type"),
+                        closed,
+                        json.loads(response.read())["error"],
+                    )
+                )
+                if not closed:
+                    sock = connection.sock
+                    connection.request("GET", "/v1/healthz")
+                    health = connection.getresponse()
+                    assert health.status == 200
+                    assert json.loads(health.read())["status"] == "ok"
+                    assert connection.sock is sock
+            finally:
+                connection.close()
+        gateway, router = replies
         assert gateway == router
-        assert gateway["type"] == "SessionNotFoundError"
-        assert gateway["message"] == message
+        assert gateway[:2] == (status, "application/json")
+        # The stdlib's refusal and a bad length close; nothing else.
+        assert gateway[2] == (method == "PUT" or body is BAD_LENGTH)
+        assert gateway[3] == {
+            "type": error_type,
+            "message": message,
+            "session": "nope" if path == "/v1/sessions/nope" else None,
+        }
+
+    def test_bad_admin_body_is_a_400_envelope(self, cluster):
+        status, _, body = round_trip(
+            cluster.url + "/v1/shards/join",
+            "POST",
+            json.dumps({"url": "http://127.0.0.1:1", "weight": "abc"}).encode(),
+            {"Content-Type": "application/json"},
+            timeout=10,
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == {
+            "type": "ValueError",
+            "message": "could not convert string to float: 'abc'",
+            "session": None,
+        }
+        assert cluster.shard_urls == tuple(
+            HTTPServingClient(cluster.url).shards()["shards"]
+        )
+
+    def test_stdlib_refusal_is_counted(self, cluster, router_client):
+        before = router_client.metrics()["router"]
+        status, content_type, _ = round_trip(
+            cluster.url + "/v1/healthz", "PUT", b"{}", {}, timeout=10
+        )
+        assert (status, content_type) == (501, "application/json")
+        after = router_client.metrics()["router"]
+        assert after["http_errors_5xx"] == before["http_errors_5xx"] + 1
+        # The refusal and the first metrics read.
+        assert after["http_requests"] == before["http_requests"] + 2
 
     @pytest.mark.parametrize("method", ["GET", "POST"])
     def test_unversioned_path_is_404_envelope(self, cluster, method):

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from repro.exceptions import SessionError
 from repro.scenarios.replay import _is_connection_error
 from repro.serving import HTTPServingClient
 from repro.serving.shard import start_local_cluster
@@ -21,7 +22,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Echoes the path and the ``Connection`` header as JSON.
 
     ``/status/<code>`` answers that status; ``/meet`` waits at the
-    server's barrier until ``CONCURRENT`` connections are in handlers.
+    server's barrier until ``CONCURRENT`` connections are in handlers;
+    ``/v1/healthz`` answers 500 with a JSON body that is not an object,
+    as a proxy in front of a gateway might.
     """
 
     protocol_version = "HTTP/1.1"
@@ -38,6 +41,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(
             {"path": self.path, "connection": self.headers["Connection"]}
         ).encode("utf-8")
+        if self.path == "/v1/healthz":
+            status, body = 500, b"[1, 2]"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -201,3 +206,12 @@ class TestRoundTrip:
     def test_rejects_non_http_urls(self):
         with pytest.raises(http.client.HTTPException):
             round_trip("ftp://127.0.0.1:1/x", "GET", None, {}, timeout=1)
+
+
+class TestClientErrorReplies:
+    def test_non_object_error_body_is_a_typed_error(self, pooled):
+        with pytest.raises(SessionError) as caught:
+            HTTPServingClient(pooled.url).healthz()
+        assert caught.value.http_status == 500
+        assert str(caught.value) == "[1, 2]"
+        assert not _is_connection_error(caught.value)
